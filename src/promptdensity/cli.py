@@ -41,10 +41,10 @@ from .rewrite import (
 from .scoring import DEFAULT_CONFIG, ScoreConfig, analyze
 from .stats import (
     DEFAULT_THRESHOLD,
-    PairedOutcome,
     accuracy_table,
     format_accuracy_table,
     mcnemar,
+    pair_up,
 )
 
 SCHEMA_VERSION = "1"
@@ -282,8 +282,7 @@ def _cmd_run(args) -> int:
 def _cmd_analyze(args) -> int:
     records = load_results(args.results)
     rows = accuracy_table(records, threshold=args.threshold)
-    table = format_accuracy_table(rows, csv=args.csv)
-    latency = format_latency_report(latency_report(records), csv=args.csv)
+    latency = latency_report(records)
     if args.json:
         _emit(
             {
@@ -304,14 +303,14 @@ def _cmd_analyze(args) -> int:
                         "mean_output_tokens": round(r.mean_output_tokens, 1),
                         "over_generating": r.over_generating,
                     }
-                    for r in latency_report(records)
+                    for r in latency
                 ],
             }
         )
     else:
-        print(table)
+        print(format_accuracy_table(rows, csv=args.csv))
         print()
-        print(latency)
+        print(format_latency_report(latency, csv=args.csv))
     return 0
 
 
@@ -321,14 +320,7 @@ def _cmd_mcnemar(args) -> int:
         cond_a, cond_b = args.pair.split(":", 1)
     except ValueError:
         raise PromptDensityError(f"--pair must look like A:B, got {args.pair!r}") from None
-    by_key: dict[tuple, dict[str, bool]] = {}
-    for r in records:
-        by_key.setdefault((r.model, r.benchmark, r.item_id, r.run), {})[r.condition] = r.correct
-    pairs = [
-        PairedOutcome(f"{model}/{bench}/{item}", run, conds[cond_a], conds[cond_b])
-        for (model, bench, item, run), conds in sorted(by_key.items())
-        if cond_a in conds and cond_b in conds
-    ]
+    pairs = pair_up(records, cond_a, cond_b)
     if not pairs:
         raise PromptDensityError(f"no paired records for {cond_a!r} vs {cond_b!r}")
     result = mcnemar(pairs, threshold=args.threshold)

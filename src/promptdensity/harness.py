@@ -26,6 +26,7 @@ from .extraction import AnswerFormat, score_response
 from .lexicon import Lexicon
 from .rewrite import dilute
 from .scoring import DEFAULT_CONFIG, ScoreConfig, analyze
+from .stats import format_table
 
 MC_LETTERS = ("A", "B", "C", "D")
 KNOWN_CONDITIONS = ("diluted", "standard", "ultra_dense", "ultra_dense_ipe", "padding")
@@ -593,12 +594,7 @@ def format_latency_report(rows: list[LatencyRow], csv: bool = False) -> str:
         ]
         for r in rows
     ]
-    if csv:
-        return "\n".join([",".join(header)] + [",".join(row) for row in body])
-    widths = [max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    lines += ["  ".join(c.ljust(widths[i]) for i, c in enumerate(row)) for row in body]
-    return "\n".join(lines)
+    return format_table(header, body, csv)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,10 @@ from .lexicon import Category, Lexicon, default_lexicon, match_phrases
 from .scoring import (
     DEFAULT_CONFIG,
     LabelKind,
+    PromptAnalysis,
     ScoreConfig,
+    TokenLabel,
     analyze,
-    classify_tokens,
-    component_scores,
-    density_score,
 )
 from .tokens import Token, TokenKind, TokenSequence, tokenize
 
@@ -165,37 +164,63 @@ def _word_indices(tokens: tuple[Token, ...]) -> list[int]:
     return [i for i, t in enumerate(tokens) if t.kind is not TokenKind.PUNCTUATION]
 
 
-def _nominalization_phrases(
-    seq: TokenSequence, claimed: set[int]
-) -> list[tuple[int, int, str]]:
-    """Light-verb phrases like 'provide a derivation of' -> 'derive'.
+def _findings(
+    seq: TokenSequence, labels: tuple[TokenLabel, ...], lex: Lexicon
+) -> list[tuple[int, int, Diagnostic]]:
+    """Every lint finding as (token start, token end, diagnostic).
 
-    Returns (token start, token end, replacement verb) triples over
-    unclaimed tokens.
+    Grouped by rule in the order densify applies them: lexicon noise,
+    redundant repeats, light-verb phrases ('provide a derivation of' ->
+    'derive'), then single nominalizations and vague quantities in token
+    order. A rule never takes a token an earlier finding already took.
     """
     tokens = seq.tokens
-    out: list[tuple[int, int, str]] = []
+    out: list[tuple[int, int, Diagnostic]] = []
+    claimed: set[int] = set()
+
+    def add(start: int, end: int, rule: str, message: str,
+            severity: Severity = Severity.SUGGEST, replacement: str | None = None) -> None:
+        out.append((start, end, Diagnostic(rule, tokens[start].start, tokens[end - 1].end,
+                                           message, severity, replacement)))
+        claimed.update(range(start, end))
+
+    for m in match_phrases(seq, lex):
+        rule, message = _RULE_BY_CATEGORY[m.category]
+        add(m.start, m.end, rule, f"{message}: {m.phrase!r}", Severity.REMOVE_SAFE)
+    for i, (tok, lab) in enumerate(zip(tokens, labels)):
+        if lab.kind is LabelKind.SEMANTIC and lab.redundant:
+            add(i, i + 1, "redundant-restatement", f"{tok.text!r} repeats an earlier concept",
+                Severity.REMOVE_SAFE)
+
     words = _word_indices(tokens)
+    lowered = [tokens[i].text.lower() for i in words]
     for pos, i in enumerate(words):
-        if i in claimed or tokens[i].text.lower() not in wordlists.LIGHT_VERBS:
+        if i in claimed or lowered[pos] not in wordlists.LIGHT_VERBS:
             continue
         j = pos + 1
-        if j < len(words) and tokens[words[j]].text.lower() in ("a", "an", "the"):
+        if j < len(words) and lowered[j] in ("a", "an", "the"):
             j += 1
-        if j >= len(words):
-            continue
-        noun = tokens[words[j]].text.lower()
-        verb = wordlists.NOMINALIZATION_VERBS.get(noun)
+        verb = wordlists.NOMINALIZATION_VERBS.get(lowered[j]) if j < len(words) else None
         if verb is None:
             continue
-        k = j + 1
-        if k < len(words) and tokens[words[k]].text.lower() in ("of", "for"):
-            end_idx = words[k]
-        else:
-            end_idx = words[j]
-        if any(t in claimed for t in range(i, end_idx + 1)):
+        if j + 1 < len(words) and lowered[j + 1] in ("of", "for"):
+            j += 1
+        if claimed.isdisjoint(range(i, words[j] + 1)):
+            add(i, words[j] + 1, "abstract-nominalization", f"prefer the active verb {verb!r}",
+                replacement=verb)
+
+    for pos, i in enumerate(words):
+        if i in claimed:
             continue
-        out.append((i, end_idx + 1, verb))
+        lower = lowered[pos]
+        if lower in wordlists.NOMINALIZATION_VERBS:
+            add(i, i + 1, "abstract-nominalization",
+                f"nominalized form; prefer {wordlists.NOMINALIZATION_VERBS[lower]!r}")
+        elif lower in wordlists.VAGUE_QUANTITY_WORDS:
+            replacement = wordlists.VAGUE_QUANTITY_WORDS[lower]
+            hint = f"replace with {replacement!r}" if replacement else "quantify it"
+            add(i, i + 1, "vague-quantity", f"vague quantity {tokens[i].text!r}; {hint}",
+                replacement=replacement)
     return out
 
 
@@ -204,85 +229,11 @@ def lint(
     lex: Lexicon | None = None,
     config: ScoreConfig = DEFAULT_CONFIG,
 ) -> list[Diagnostic]:
-    """Produce ordered diagnostics for one prompt."""
+    """Produce diagnostics for one prompt, ordered by span."""
     lex = lex if lex is not None else default_lexicon()
-    seq = tokenize(text)
-    if seq.word_count == 0:
-        raise EmptyPromptError("empty prompt")
-    labels = classify_tokens(seq, lex, config)
-    tokens = seq.tokens
-    diags: list[Diagnostic] = []
-    claimed: set[int] = set()
-
-    for m in match_phrases(seq, lex):
-        rule, message = _RULE_BY_CATEGORY[m.category]
-        diags.append(
-            Diagnostic(
-                rule=rule,
-                start=tokens[m.start].start,
-                end=tokens[m.end - 1].end,
-                message=f"{message}: {m.phrase!r}",
-                severity=Severity.REMOVE_SAFE,
-            )
-        )
-        claimed.update(range(m.start, m.end))
-
-    for i, (tok, lab) in enumerate(zip(tokens, labels)):
-        if lab.kind is LabelKind.SEMANTIC and lab.redundant:
-            diags.append(
-                Diagnostic(
-                    rule="redundant-restatement",
-                    start=tok.start,
-                    end=tok.end,
-                    message=f"{tok.text!r} repeats an earlier concept",
-                    severity=Severity.REMOVE_SAFE,
-                )
-            )
-            claimed.add(i)
-
-    suggested: set[int] = set()
-    for start_i, end_i, verb in _nominalization_phrases(seq, claimed):
-        diags.append(
-            Diagnostic(
-                rule="abstract-nominalization",
-                start=tokens[start_i].start,
-                end=tokens[end_i - 1].end,
-                message=f"prefer the active verb {verb!r}",
-                severity=Severity.SUGGEST,
-                replacement=verb,
-            )
-        )
-        suggested.update(range(start_i, end_i))
-
-    for i, (tok, lab) in enumerate(zip(tokens, labels)):
-        if i in claimed or i in suggested or tok.kind is TokenKind.PUNCTUATION:
-            continue
-        lower = tok.text.lower()
-        if lower in wordlists.NOMINALIZATION_VERBS:
-            diags.append(
-                Diagnostic(
-                    rule="abstract-nominalization",
-                    start=tok.start,
-                    end=tok.end,
-                    message=f"nominalized form; prefer {wordlists.NOMINALIZATION_VERBS[lower]!r}",
-                    severity=Severity.SUGGEST,
-                )
-            )
-        elif lower in wordlists.VAGUE_QUANTITY_WORDS:
-            replacement = wordlists.VAGUE_QUANTITY_WORDS[lower]
-            hint = f"replace with {replacement!r}" if replacement else "quantify it"
-            diags.append(
-                Diagnostic(
-                    rule="vague-quantity",
-                    start=tok.start,
-                    end=tok.end,
-                    message=f"vague quantity {tok.text!r}; {hint}",
-                    severity=Severity.SUGGEST,
-                    replacement=replacement,
-                )
-            )
-    diags.sort(key=lambda d: (d.start, d.end))
-    return diags
+    analysis = analyze(text, lex, config)
+    found = _findings(analysis.seq, analysis.labels, lex)
+    return sorted((d for _start, _end, d in found), key=lambda d: (d.start, d.end))
 
 
 # ---------------------------------------------------------------------------
@@ -341,74 +292,39 @@ def _rebuild(
 
 
 def _densify_round(
-    text: str,
+    analysis: PromptAnalysis,
     lex: Lexicon,
     config: ScoreConfig,
 ) -> tuple[str, list[Diagnostic], list[str]] | None:
     """One densification pass; None when the text is already stable."""
-    seq = tokenize(text)
-    if seq.word_count == 0:
-        return None
-    labels = classify_tokens(seq, lex, config)
-    s, r, c = component_scores(labels, seq.word_count)
-    analysis_sde = density_score(s, seq.word_count, r, c)
+    seq, labels = analysis.seq, analysis.labels
     tokens = seq.tokens
     applied: list[Diagnostic] = []
     notes: list[str] = []
     drop: set[int] = set()
     replace: dict[int, tuple[int, str]] = {}
-    claimed: set[int] = set()
 
-    def claim(start: int, end: int) -> None:
-        claimed.update(range(start, end))
+    # Apply the lint findings that carry an edit: safe removals and
+    # deterministic replacements.
+    for start, end, d in _findings(seq, labels, lex):
+        if d.severity is Severity.REMOVE_SAFE:
+            drop.update(range(start, end))
+        elif d.replacement:
+            replace[start] = (end, d.replacement)
+        else:
+            continue
+        applied.append(d)
+    claimed = drop | {i for start, (end, _r) in replace.items() for i in range(start, end)}
 
-    for m in match_phrases(seq, lex):
-        rule, message = _RULE_BY_CATEGORY[m.category]
-        drop.update(range(m.start, m.end))
-        claim(m.start, m.end)
-        applied.append(
-            Diagnostic(rule, tokens[m.start].start, tokens[m.end - 1].end,
-                       f"{message}: {m.phrase!r}", Severity.REMOVE_SAFE)
-        )
-    for i, (tok, lab) in enumerate(zip(tokens, labels)):
-        if lab.kind is LabelKind.SEMANTIC and lab.redundant:
-            drop.add(i)
-            claimed.add(i)
-            applied.append(
-                Diagnostic("redundant-restatement", tok.start, tok.end,
-                           f"{tok.text!r} repeats an earlier concept", Severity.REMOVE_SAFE)
-            )
-
+    # Scaffolds share no word with a finding, but must be claimed before
+    # elision takes the "the"/"is" inside them.
     for start_i, end_i, repl in _question_scaffolds(seq, claimed):
         replace[start_i] = (end_i, repl)
         notes.append(f"compressed interrogative scaffold to {repl!r}")
 
-    for start_i, end_i, verb in _nominalization_phrases(seq, claimed):
-        replace[start_i] = (end_i, verb)
-        claim(start_i, end_i)
-        applied.append(
-            Diagnostic("abstract-nominalization", tokens[start_i].start,
-                       tokens[end_i - 1].end, f"prefer the active verb {verb!r}",
-                       Severity.SUGGEST, replacement=verb)
-        )
-
-    for i, tok in enumerate(tokens):
-        if i in claimed or tok.kind is TokenKind.PUNCTUATION:
-            continue
-        lower = tok.text.lower()
-        repl = wordlists.VAGUE_QUANTITY_WORDS.get(lower)
-        if repl:
-            replace[i] = (i + 1, repl)
-            claimed.add(i)
-            applied.append(
-                Diagnostic("vague-quantity", tok.start, tok.end,
-                           f"vague quantity {tok.text!r}; replace with {repl!r}",
-                           Severity.SUGGEST, replacement=repl)
-            )
-
     # Telegraphic elision of determiners/auxiliaries while the prompt is
     # still below the dense band; never touches semantic tokens.
-    if analysis_sde < config.dense_from:
+    if analysis.sde < config.dense_from:
         for i, (tok, lab) in enumerate(zip(tokens, labels)):
             if i in claimed or lab.kind is not LabelKind.FUNCTION:
                 continue
@@ -418,31 +334,26 @@ def _densify_round(
                 notes.append(f"elided function word {tok.text!r}")
 
     # Orphan cleanup: conjunctions that lost a neighbour, prepositions that
-    # lost their object, and punctuation whose host word was removed.
-    removed = drop | set(
-        idx for start, (end, _r) in replace.items() for idx in range(start, end)
-    )
+    # lost their object, and punctuation whose host word was removed. Every
+    # dropped or replaced token is claimed by now.
     word_idx = _word_indices(tokens)
     for pos, i in enumerate(word_idx):
-        if i in removed or tokens[i].kind is not TokenKind.WORD:
+        if i in claimed or tokens[i].kind is not TokenKind.WORD:
             continue
         lower = tokens[i].text.lower()
         prev_i = word_idx[pos - 1] if pos > 0 else None
         next_i = word_idx[pos + 1] if pos + 1 < len(word_idx) else None
         if lower in _CONJUNCTIONS and (
-            (prev_i is not None and prev_i in removed)
-            or (next_i is not None and next_i in removed)
+            (prev_i is not None and prev_i in claimed)
+            or (next_i is not None and next_i in claimed)
             or next_i is None
         ):
             drop.add(i)
             notes.append(f"dropped orphaned conjunction {tokens[i].text!r}")
-        elif lower in _PREPOSITIONS and (next_i is None or next_i in removed):
-            if i not in replace:
-                drop.add(i)
-                notes.append(f"dropped orphaned preposition {tokens[i].text!r}")
-    removed = drop | set(
-        idx for start, (end, _r) in replace.items() for idx in range(start, end)
-    )
+        elif lower in _PREPOSITIONS and (next_i is None or next_i in claimed):
+            drop.add(i)
+            notes.append(f"dropped orphaned preposition {tokens[i].text!r}")
+    removed = claimed | drop
     for i, tok in enumerate(tokens):
         if tok.kind is TokenKind.PUNCTUATION and i > 0 and (i - 1) in removed and i not in removed:
             drop.add(i)
@@ -461,8 +372,7 @@ def densify(
     """Apply all safe deletions and deterministic replacements, repeatedly,
     until the text is stable. Raises if the result would be empty."""
     lex = lex if lex is not None else default_lexicon()
-    before = analyze(text, lex, config)
-    current = text
+    before = current = analyze(text, lex, config)
     all_applied: list[Diagnostic] = []
     all_notes: list[str] = []
     for _ in range(10):
@@ -470,17 +380,17 @@ def densify(
         if step is None:
             break
         rebuilt, applied, notes = step
-        if tokenize(rebuilt).word_count == 0:
-            raise PromptDensityError("densify would remove every content token")
-        current = rebuilt
+        try:
+            current = analyze(rebuilt, lex, config)
+        except EmptyPromptError:
+            raise PromptDensityError("densify would remove every content token") from None
         all_applied.extend(applied)
         all_notes.extend(notes)
-    after = analyze(current, lex, config) if current.strip() else before
     return RewriteResult(
-        output=current,
+        output=current.seq.source,
         applied=tuple(all_applied),
         sde_before=before.sde,
-        sde_after=after.sde,
+        sde_after=current.sde,
         structural_edits=tuple(all_notes),
     )
 
@@ -497,30 +407,10 @@ def _first_sentence(text: str) -> str:
     return text[: m.end()] if m else text
 
 
-def _insert_hedges(text: str, picks: list[str]) -> str:
-    """Insert hedge phrases before task verbs, one per verb occurrence."""
-    if not picks:
-        return text
-    seq = tokenize(text)
-    inserts: list[tuple[int, str]] = []
-    used = 0
-    for tok in seq.tokens:
-        if used >= len(picks):
-            break
-        if tok.kind is TokenKind.WORD and tok.text.lower() in wordlists.PROMPT_VERBS:
-            inserts.append((tok.start, picks[used]))
-            used += 1
-    if not inserts:
-        return text
+def _insert_at(text: str, pos: int, phrase: str) -> str:
+    """Insert ``phrase`` and a space at byte offset ``pos`` of ``text``."""
     raw = text.encode("utf-8")
-    out: list[bytes] = []
-    prev = 0
-    for pos, phrase in inserts:
-        out.append(raw[prev:pos])
-        out.append((phrase + " ").encode("utf-8"))
-        prev = pos
-    out.append(raw[prev:])
-    return b"".join(out).decode("utf-8")
+    return (raw[:pos] + (phrase + " ").encode("utf-8") + raw[pos:]).decode("utf-8")
 
 
 def dilute(
@@ -545,13 +435,17 @@ def dilute(
     preamble_ids = rng.sample(range(len(bank.preambles)), count)
     preambles = [bank.preambles[i] for i in preamble_ids]
 
-    verb_count = sum(
-        1
+    # One hedge before each task verb; inserting from the end keeps the
+    # earlier byte offsets valid.
+    verb_starts = [
+        tok.start
         for tok in tokenize(text).tokens
         if tok.kind is TokenKind.WORD and tok.text.lower() in wordlists.PROMPT_VERBS
-    )
-    hedge_picks = [bank.hedges[rng.randrange(len(bank.hedges))] for _ in range(verb_count)]
-    hedged = _insert_hedges(text, hedge_picks)
+    ]
+    hedges = [bank.hedges[rng.randrange(len(bank.hedges))] for _ in verb_starts]
+    hedged = text
+    for pos, hedge in reversed(list(zip(verb_starts, hedges))):
+        hedged = _insert_at(hedged, pos, hedge)
 
     frame = bank.frames[rng.randrange(len(bank.frames))]
     restatement = f"{frame} {_first_sentence(text)}"
@@ -642,9 +536,7 @@ def _insert_hedge_at(text: str, hedge: str, rng: random.Random) -> str:
     word_positions = [t.start for t in seq.tokens if t.kind is TokenKind.WORD]
     if not word_positions:
         return text + " " + hedge
-    pos = word_positions[rng.randrange(len(word_positions))]
-    raw = text.encode("utf-8")
-    return (raw[:pos] + (hedge + " ").encode("utf-8") + raw[pos:]).decode("utf-8")
+    return _insert_at(text, word_positions[rng.randrange(len(word_positions))], hedge)
 
 
 # ---------------------------------------------------------------------------

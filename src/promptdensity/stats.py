@@ -8,6 +8,8 @@ reweighted least squares with separation detection.
 """
 from __future__ import annotations
 
+import csv as _csv
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -140,7 +142,8 @@ class AccuracyRow:
     significant: bool
 
 
-def _pair_up(records: list, cond_a: str, cond_b: str) -> list[PairedOutcome]:
+def pair_up(records: list, cond_a: str, cond_b: str) -> list[PairedOutcome]:
+    """Outcomes of the same (model, benchmark, item, run) under both conditions."""
     by_key: dict[tuple, dict[str, bool]] = {}
     for r in records:
         key = (r.model, r.benchmark, r.item_id, r.run)
@@ -176,16 +179,26 @@ def accuracy_table(
         significant = False
         if "ultra_dense" in acc and "diluted" in acc:
             delta = acc["ultra_dense"] - acc["diluted"]
-            pairs = _pair_up(group, "ultra_dense", "diluted")
+            pairs = pair_up(group, "ultra_dense", "diluted")
             if pairs:
                 significant = mcnemar(pairs, threshold).verdict is Verdict.WIN
         rows.append(AccuracyRow(name, acc, delta, significant))
     return rows
 
 
+def format_table(header: list[str], body: list[list[str]], csv: bool = False) -> str:
+    """Render a header and rows as left-aligned text columns or as CSV."""
+    rows = [header, *body]
+    if csv:
+        buf = io.StringIO()
+        _csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue().removesuffix("\n")
+    widths = [max(len(cells[i]) for cells in rows) for i in range(len(header))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(cells, widths)) for cells in rows)
+
+
 def format_accuracy_table(rows: list[AccuracyRow], csv: bool = False) -> str:
     """Render rows in the fixed column order, aligned text or CSV."""
-    header = list(TABLE_COLUMNS)
     body: list[list[str]] = []
     for row in rows:
         cells = [row.benchmark]
@@ -195,14 +208,7 @@ def format_accuracy_table(rows: list[AccuracyRow], csv: bool = False) -> str:
         cells.append("" if row.delta is None else f"{row.delta:+.1f}")
         cells.append("*" if row.significant else "")
         body.append(cells)
-    if csv:
-        lines = [",".join(header)] + [",".join(cells) for cells in body]
-        return "\n".join(lines)
-    widths = [max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    for cells in body:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(cells)))
-    return "\n".join(lines)
+    return format_table(list(TABLE_COLUMNS), body, csv)
 
 
 @dataclass(frozen=True)
@@ -231,7 +237,7 @@ def wins_losses(
     keys = sorted({(r.model, r.benchmark) for r in records})
     for model, benchmark in keys:
         group = [r for r in records if r.model == model and r.benchmark == benchmark]
-        pairs = _pair_up(group, cond_a, cond_b)
+        pairs = pair_up(group, cond_a, cond_b)
         if not pairs:
             continue
         cells.append(CellVerdict(model, benchmark, mcnemar(pairs, threshold)))

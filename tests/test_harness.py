@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 
@@ -305,6 +307,13 @@ def test_latency_report_formatting():
     rows = latency_report(_latency_records([("m", "standard", 100.0, 10, 2)]))
     text = format_latency_report(rows)
     assert "mean_latency_ms" in text.splitlines()[0]
+
+
+def test_latency_report_csv_quotes_comma_in_model_name():
+    rows = latency_report(_latency_records([("acme,v2", "standard", 100.0, 10, 2)]))
+    parsed = list(csv.reader(io.StringIO(format_latency_report(rows, csv=True))))
+    assert [len(fields) for fields in parsed] == [5, 5]
+    assert parsed[1][0] == "acme,v2"
 
 
 # ---------------------------------------------------------------------------

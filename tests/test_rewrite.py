@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from promptdensity import wordlists
 from promptdensity.errors import EmptyPromptError, PromptDensityError
-from promptdensity.lexicon import default_lexicon
+from promptdensity.lexicon import Category, default_lexicon
 from promptdensity.rewrite import (
     Severity,
     densify,
@@ -144,6 +147,50 @@ def test_densify_empty_result_refused():
 def test_densify_empty_input():
     with pytest.raises(EmptyPromptError):
         densify("")
+
+
+# ---------------------------------------------------------------------------
+# lint / densify coupling
+# ---------------------------------------------------------------------------
+
+_NOISE_PHRASES = sorted(
+    phrase
+    for category in (Category.FILLER, Category.HEDGE, Category.META, Category.TRANSITIONAL)
+    for phrase in default_lexicon().phrases(category)
+)
+_RULE_WORDS = sorted(
+    {*wordlists.NOMINALIZATION_VERBS, *wordlists.VAGUE_QUANTITY_WORDS, *wordlists.LIGHT_VERBS}
+)
+_PLAIN_WORDS = (
+    "a an the of for and or is are which one following options compute sum 42 "
+    "Paris gradient gradients cell cells , . ? A. B)"
+).split()
+
+
+def _assert_lint_edits_open_densify(text: str) -> None:
+    """lint's edit diagnostics are exactly what densify's first round applies."""
+    applied = densify(text).applied
+    edits = {d for d in lint(text) if d.severity is Severity.REMOVE_SAFE or d.replacement}
+    assert edits == set(applied[: len(edits)])
+
+
+def test_lint_edits_open_densify_on_fixtures(corpus, arc_variants):
+    for text in [*corpus, *arc_variants.values()]:
+        _assert_lint_edits_open_densify(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(_NOISE_PHRASES + _RULE_WORDS + _PLAIN_WORDS), min_size=1, max_size=25
+    ).map(" ".join)
+)
+def test_lint_edits_open_densify(text):
+    try:
+        _assert_lint_edits_open_densify(text)
+    except PromptDensityError:
+        # Only prompts with no words, or nothing but noise, get here.
+        assume(False)
 
 
 # ---------------------------------------------------------------------------
