@@ -21,6 +21,7 @@ from .harness import (
     build_backend,
     load_manifest,
     load_results,
+    read_json,
     latency_report,
     format_latency_report,
     run_experiment,
@@ -67,8 +68,7 @@ def _read_text(args) -> str:
 def _load_context(args) -> tuple[Lexicon, ScoreConfig, TemplateBank]:
     settings: dict = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            settings = json.load(fh)
+        settings = read_json(args.config)
     lexicon_path = getattr(args, "lexicon", None) or settings.get("lexicon")
     lex = load_lexicon(lexicon_path) if lexicon_path else default_lexicon()
     templates_path = settings.get("templates")
@@ -223,9 +223,8 @@ def _cmd_instruction_last(args) -> int:
 
 def _cmd_validate(args) -> int:
     lex, config, _ = _load_context(args)
-    with open(args.manifest, encoding="utf-8") as fh:
-        data = json.load(fh)
-    items, issues = validate_manifest(data, strict=args.strict, lex=lex, config=config)
+    items, issues = validate_manifest(read_json(args.manifest), strict=args.strict, lex=lex,
+                                      config=config)
     if args.json:
         _emit({"valid": not issues, "items": len(items), "issues": issues})
     else:
@@ -243,13 +242,19 @@ def _parse_backends(args) -> list:
             params={"intercept": args.mock_intercept, "slope": args.mock_slope},
         )
         return [build_backend(descriptor, seed=args.seed)]
-    with open(args.backend, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(args.backend)
     entries = raw if isinstance(raw, list) else [raw]
     backends = []
-    for entry in entries:
+    for number, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("model"), str):
+            raise PromptDensityError(f"{args.backend}: backend {number} needs a 'model' string")
+        try:
+            kind = BackendKind(entry.get("kind", "http_chat"))
+        except ValueError:
+            raise PromptDensityError(f"{args.backend}: backend {number} has unknown kind "
+                                     f"{entry['kind']!r}") from None
         descriptor = BackendDescriptor(
-            kind=BackendKind(entry.get("kind", "http_chat")),
+            kind=kind,
             model_id=entry["model"],
             endpoint=entry.get("endpoint"),
             credential_env=entry.get("credential_env"),

@@ -1,9 +1,13 @@
 """Within-items experiment runner over pluggable model backends.
 
-Every (model, item, condition, run) is issued exactly once, interleaved
-round-robin across backends, scored with the deterministic extractor, and
-appended to a crash-resumable partial file. The final results file is a
-JSON array sorted by record key.
+Every (model, item, condition, run) is issued exactly once and scored with
+the deterministic extractor. Each distinct prompt text is scored once
+before any request is sent. Then one worker thread per backend (at most
+``MAX_WORKERS`` at a time) walks the task list in order, so every backend
+has one request in flight and waits on different backends overlap. The
+calling thread alone appends each finished trial to a crash-resumable
+partial file, in completion order, and calls ``progress``. The final
+results file is a JSON array sorted by record key.
 
 The mock backend answers correctly with probability
 sigmoid(intercept + slope * prompt_score), deterministically per request
@@ -16,6 +20,7 @@ import json
 import math
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -31,6 +36,8 @@ from .stats import format_table
 MC_LETTERS = ("A", "B", "C", "D")
 KNOWN_CONDITIONS = ("diluted", "standard", "ultra_dense", "ultra_dense_ipe", "padding")
 _GRADIENT_RE = re.compile(r"gradient_[0-9a-z_.]+")
+# Most backend workers run_experiment keeps busy at once.
+MAX_WORKERS = 8
 
 
 class BackendKind(Enum):
@@ -88,20 +95,25 @@ class TrialRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "TrialRecord":
-        return cls(
-            model=data["model"],
-            benchmark=data["benchmark"],
-            item_id=data["item_id"],
-            condition=data["condition"],
-            run=int(data["run"]),
-            correct=bool(data["correct"]),
-            response=data["response"],
-            latency_ms=float(data["latency_ms"]),
-            output_tokens=int(data["output_tokens"]),
-            sde=float(data["sde"]),
-            timestamp=data["timestamp"],
-            error=data.get("error"),
-        )
+        try:
+            return cls(
+                model=data["model"],
+                benchmark=data["benchmark"],
+                item_id=data["item_id"],
+                condition=data["condition"],
+                run=int(data["run"]),
+                correct=bool(data["correct"]),
+                response=data["response"],
+                latency_ms=float(data["latency_ms"]),
+                output_tokens=int(data["output_tokens"]),
+                sde=float(data["sde"]),
+                timestamp=data["timestamp"],
+                error=data.get("error"),
+            )
+        except KeyError as exc:
+            raise PromptDensityError(f"trial record lacks field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise PromptDensityError(f"malformed trial record: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -217,21 +229,22 @@ class HttpChatBackend:
         self._last_call = time.monotonic()
 
     @staticmethod
-    def _parse_text(body: dict) -> str:
-        choices = body.get("choices")
-        if isinstance(choices, list) and choices:
+    def _parse_text(body) -> str:
+        fields = body if isinstance(body, dict) else {}
+        choices = fields.get("choices")
+        if isinstance(choices, list) and choices and isinstance(choices[0], dict):
             message = choices[0].get("message", {})
             if isinstance(message, dict) and isinstance(message.get("content"), str):
                 return message["content"]
-        content = body.get("content")
+        content = fields.get("content")
         if isinstance(content, list) and content and isinstance(content[0], dict):
             text = content[0].get("text")
             if isinstance(text, str):
                 return text
         for key in ("output", "text", "response"):
-            if isinstance(body.get(key), str):
-                return body[key]
-        return ""
+            if isinstance(fields.get(key), str):
+                return fields[key]
+        raise PromptDensityError(f"backend returned HTTP 200 with no reply text: {body!r:.200}")
 
     @staticmethod
     def _parse_tokens(body: dict, text: str) -> int:
@@ -375,10 +388,17 @@ def validate_manifest(
     return items, issues
 
 
-def load_manifest(path: str, strict: bool = False) -> list[BenchmarkItem]:
+def read_json(path: str):
+    """The JSON document in ``path``; a file that is not JSON is a domain error."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    items, issues = validate_manifest(data, strict=strict)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise PromptDensityError(f"{path}: not valid JSON: {exc}") from None
+
+
+def load_manifest(path: str, strict: bool = False) -> list[BenchmarkItem]:
+    items, issues = validate_manifest(read_json(path), strict=strict)
     if issues:
         raise ManifestError(issues)
     return items
@@ -408,16 +428,32 @@ def _partial_path(out_path: str) -> str:
 
 
 def _load_partial(path: str) -> dict[tuple, TrialRecord]:
+    """Records of a partial file, by key.
+
+    A last line without its newline was cut short by a kill mid-write. It
+    is dropped and cut off the file, so the next append starts a new line.
+    """
     done: dict[tuple, TrialRecord] = {}
     if not os.path.exists(path):
         return done
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "r+b") as fh:
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            import logging  # only this rare path logs; every CLI start would pay the import
+
+            logging.getLogger(__name__).warning(
+                "%s: dropping a torn last line of %d bytes", path, len(data) - end
+            )
+            fh.truncate(end)
+    for number, line in enumerate(data[:end].splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
             record = TrialRecord.from_json(json.loads(line))
-            done[record.key] = record
+        except (ValueError, PromptDensityError) as exc:
+            raise PromptDensityError(f"{path}, line {number}: {exc}") from None
+        done[record.key] = record
     return done
 
 
@@ -429,9 +465,13 @@ def save_results(records: list[TrialRecord], out_path: str) -> None:
 
 
 def load_results(path: str) -> list[TrialRecord]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    records = [TrialRecord.from_json(entry) for entry in data]
+    data = read_json(path)
+    if not isinstance(data, list):
+        raise PromptDensityError(f"{path}: results file must hold a JSON array")
+    try:
+        records = [TrialRecord.from_json(entry) for entry in data]
+    except PromptDensityError as exc:
+        raise PromptDensityError(f"{path}: {exc}") from None
     keys = [r.key for r in records]
     if len(set(keys)) != len(keys):
         raise PromptDensityError("results file has duplicate record keys")
@@ -451,11 +491,16 @@ def run_experiment(
 ) -> list[TrialRecord]:
     """Run every (model, item, condition, run) once and return the records.
 
+    Backends run concurrently, one worker thread each, so their model ids
+    must be distinct. ``progress(task_index, task_count, record)`` is called
+    on the calling thread as each trial finishes.
+
     With ``out_path`` each completed trial is appended to a ``.partial``
     sidecar immediately; ``resume`` skips keys already present there, so a
     killed run continues where it stopped and converges to the same final
     file. Backend failures after retries are recorded with the error flag
-    and correct=False rather than aborting the run.
+    and correct=False rather than aborting the run; any other exception a
+    backend raises stops the run and is raised here.
     """
     if not items:
         raise ManifestError(["no items to run"])
@@ -466,6 +511,12 @@ def run_experiment(
         raise ManifestError(["item with no variants"])
     if not backends:
         raise PromptDensityError("no backends configured")
+    models = [backend.descriptor.model_id for backend in backends]
+    if len(set(models)) != len(models):
+        repeated = sorted({m for m in models if models.count(m) > 1})
+        raise PromptDensityError(f"duplicate backend model ids: {repeated}")
+    if runs_per_item < 1:
+        raise PromptDensityError(f"runs per item must be at least 1, got {runs_per_item}")
     done: dict[tuple, TrialRecord] = {}
     partial = None
     if out_path:
@@ -475,6 +526,7 @@ def run_experiment(
         elif os.path.exists(partial):
             os.remove(partial)
 
+    # Plan: the task order, and each distinct prompt text scored once.
     ordered_items = sorted(items, key=lambda it: (it.benchmark, it.item_id))
     tasks = [
         (item, condition, run)
@@ -482,54 +534,78 @@ def run_experiment(
         for condition in sorted(item.variants)
         for run in range(runs_per_item)
     ]
-    score_cache: dict[tuple[str, str], float] = {}
+    scores: dict[str, float] = {}
+    for item in ordered_items:
+        for text in item.variants.values():
+            if text not in scores:
+                scores[text] = analyze(text, lex, config).sde
 
-    def prompt_score(item: BenchmarkItem, condition: str) -> float:
-        cache_key = (item.item_id, condition)
-        if cache_key not in score_cache:
-            score_cache[cache_key] = analyze(item.variants[condition], lex, config).sde
-        return score_cache[cache_key]
+    # Execute: one worker per backend walks the tasks in order, so each
+    # backend has one request in flight and its pacing and retry state
+    # stay on one thread. Workers only wait on their backend. Imported
+    # here so that commands other than `run` start without them.
+    import queue
+    from concurrent.futures import Future, ThreadPoolExecutor
 
+    finished: queue.Queue = queue.Queue()
+    stop = threading.Event()
+
+    def work(backend) -> None:
+        model = backend.descriptor.model_id
+        for task_index, (item, condition, run) in enumerate(tasks):
+            if stop.is_set():
+                return
+            if (model, item.benchmark, item.item_id, condition, run) in done:
+                continue
+            prompt = item.variants[condition]
+            try:
+                reply, error = backend.complete(item, condition, run, prompt, scores[prompt]), None
+            except PromptDensityError as exc:
+                reply, error = ("", 0.0, 0), str(exc)
+            finished.put((task_index, model, reply, error))
+
+    # Sink: this thread alone scores replies, appends to the partial file
+    # and reports progress; a finished worker's future arrives on the same
+    # queue.
     records: list[TrialRecord] = list(done.values())
     sink = open(partial, "a", encoding="utf-8") if partial else None
+    pool = ThreadPoolExecutor(max_workers=min(len(backends), MAX_WORKERS))
     try:
-        for task_index, (item, condition, run) in enumerate(tasks):
-            for backend in backends:
-                model = backend.descriptor.model_id
-                key = (model, item.benchmark, item.item_id, condition, run)
-                if key in done:
-                    continue
-                prompt = item.variants[condition]
-                sde = prompt_score(item, condition)
-                error = None
-                try:
-                    response, latency, tokens = backend.complete(item, condition, run, prompt, sde)
-                except PromptDensityError as exc:
-                    response, latency, tokens = "", 0.0, 0
-                    error = str(exc)
-                outcome = score_response(response, item.answer_format, item.ground_truth)
-                record = TrialRecord(
-                    model=model,
-                    benchmark=item.benchmark,
-                    item_id=item.item_id,
-                    condition=condition,
-                    run=run,
-                    correct=False if error else outcome.correct,
-                    response=response,
-                    latency_ms=latency,
-                    output_tokens=tokens,
-                    sde=round(sde, 4),
-                    timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                    error=error,
-                )
-                records.append(record)
-                done[key] = record
-                if sink:
-                    sink.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
-                    sink.flush()
-                if progress:
-                    progress(task_index, len(tasks), record)
+        for backend in backends:
+            pool.submit(work, backend).add_done_callback(finished.put)
+        running = len(backends)
+        while running:
+            message = finished.get()
+            if isinstance(message, Future):
+                message.result()
+                running -= 1
+                continue
+            task_index, model, (response, latency, tokens), error = message
+            item, condition, run = tasks[task_index]
+            outcome = score_response(response, item.answer_format, item.ground_truth)
+            record = TrialRecord(
+                model=model,
+                benchmark=item.benchmark,
+                item_id=item.item_id,
+                condition=condition,
+                run=run,
+                correct=False if error else outcome.correct,
+                response=response,
+                latency_ms=latency,
+                output_tokens=tokens,
+                sde=round(scores[item.variants[condition]], 4),
+                timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                error=error,
+            )
+            records.append(record)
+            if sink:
+                sink.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
+                sink.flush()
+            if progress:
+                progress(task_index, len(tasks), record)
     finally:
+        stop.set()
+        pool.shutdown()
         if sink:
             sink.close()
     records.sort(key=lambda r: r.key)

@@ -205,3 +205,41 @@ def test_run_resume_cli(tmp_path, capsys):
         return [{k: v for k, v in r.items() if k != "timestamp"} for r in json.loads(text)]
 
     assert strip(first) == strip(out.read_text())
+
+
+@pytest.fixture
+def small_manifest(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest_to_json(make_synthetic_manifest(2, seed=2))))
+    return path
+
+
+def test_backend_without_model_domain_error(tmp_path, small_manifest, capsys):
+    backend = tmp_path / "backends.json"
+    backend.write_text(json.dumps([{"kind": "mock", "params": {}}]))
+    code, _, err = run_cli(capsys, "run", "--manifest", str(small_manifest),
+                           "--backend", str(backend))
+    assert code == 1
+    assert err.count("\n") == 1 and "'model'" in err
+
+
+def test_results_missing_fields_domain_error(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps([{"model": "m", "benchmark": "b"}]))
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert err.count("\n") == 1 and "item_id" in err
+
+
+def test_results_not_json_domain_error(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text("model,benchmark\nm,b\n")
+    code, _, err = run_cli(capsys, "mcnemar", str(path))
+    assert code == 1
+    assert err.count("\n") == 1 and "not valid JSON" in err
+
+
+def test_run_zero_runs_domain_error(small_manifest, capsys):
+    code, out, err = run_cli(capsys, "run", "--manifest", str(small_manifest), "--runs", "0")
+    assert code == 1
+    assert out == "" and "at least 1" in err

@@ -3,16 +3,26 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import math
+import sys
+import tempfile
+import threading
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptdensity.errors import ManifestError, PromptDensityError
 from promptdensity.extraction import AnswerFormat
 from promptdensity.harness import (
     BackendDescriptor,
     BackendKind,
+    BenchmarkItem,
     HttpChatBackend,
+    MAX_WORKERS,
     MockBackend,
     TrialRecord,
     build_backend,
@@ -25,6 +35,7 @@ from promptdensity.harness import (
     run_experiment,
     validate_manifest,
 )
+from promptdensity.scoring import analyze
 from promptdensity.stats import PairedOutcome, Verdict, mcnemar, wins_losses
 
 from conftest import DATA_DIR
@@ -157,6 +168,151 @@ def test_resume_produces_identical_results(tmp_path):
         ]
 
     assert strip_timestamps(out_a) == strip_timestamps(out_b)
+
+
+def strip_timestamps(path):
+    return [
+        {k: v for k, v in record.items() if k != "timestamp"}
+        for record in json.loads(Path(path).read_text())
+    ]
+
+
+def test_resume_from_torn_partial(tmp_path, caplog):
+    items = tiny_items(2)
+    backend = lambda: build_backend(mock_descriptor(), seed=7)
+    out_a = tmp_path / "a.json"
+    out_b = tmp_path / "b.json"
+    run_experiment(items, [backend()], runs_per_item=2, out_path=str(out_a))
+    # A kill mid-write leaves the last line cut short.
+    data = (tmp_path / "a.json.partial").read_bytes()
+    cut = data.rindex(b"\n", 0, len(data) // 2) + 20
+    (tmp_path / "b.json.partial").write_bytes(data[:cut])
+    with caplog.at_level(logging.WARNING, logger="promptdensity.harness"):
+        run_experiment(items, [backend()], runs_per_item=2, out_path=str(out_b), resume=True)
+    assert "torn last line" in caplog.text
+    assert strip_timestamps(out_a) == strip_timestamps(out_b)
+    # The fragment was cut off before appending: every line is one record.
+    lines = (tmp_path / "b.json.partial").read_text().splitlines()
+    assert len(lines) == len(strip_timestamps(out_b))
+    assert all(json.loads(line)["model"] == "mock-1" for line in lines)
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("finished") / "r.json"
+    run_experiment(tiny_items(2), [build_backend(mock_descriptor(), seed=7)],
+                   runs_per_item=2, out_path=str(out))
+    return Path(str(out) + ".partial").read_bytes(), strip_timestamps(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_resume_from_any_prefix_converges(finished_run, data):
+    partial, expected = finished_run
+    cut = data.draw(st.integers(min_value=0, max_value=len(partial)), label="cut")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "r.json"
+        Path(str(out) + ".partial").write_bytes(partial[:cut])
+        run_experiment(tiny_items(2), [build_backend(mock_descriptor(), seed=7)],
+                       runs_per_item=2, out_path=str(out), resume=True)
+        assert strip_timestamps(out) == expected
+        # No fragment was glued onto an appended record.
+        lines = Path(str(out) + ".partial").read_text().splitlines()
+        assert len([json.loads(line) for line in lines]) == len(expected)
+
+
+def test_same_item_id_in_two_benchmarks_scored_by_own_text():
+    texts = {
+        "alpha": "Compute 17 + 25. Reply with the integer.",
+        "beta": "Basically, you know, it is really just sort of simple, honestly, "
+                "to be fair. What is 17 plus 25?",
+    }
+    items = [
+        BenchmarkItem("q1", benchmark, AnswerFormat.INTEGER, "42", {"standard": text})
+        for benchmark, text in texts.items()
+    ]
+    scores = {b: round(analyze(t).sde, 4) for b, t in texts.items()}
+    assert scores["alpha"] != scores["beta"]
+    records = run_experiment(items, [build_backend(mock_descriptor(), seed=1)], runs_per_item=1)
+    assert {r.benchmark: r.sde for r in records} == scores
+
+
+def test_backends_run_concurrently():
+    # Each call waits until all three backends have a request in flight, so
+    # a runner that sends one request at a time breaks the barrier.
+    barrier = threading.Barrier(3, timeout=1)
+
+    def transport(url, headers, payload):
+        barrier.wait()
+        return 200, {"text": "The answer is 1."}
+
+    backends = [
+        HttpChatBackend(http_descriptor(model_id=f"remote-{n}", max_retries=1),
+                        transport=transport, sleep=lambda _t: None)
+        for n in range(3)
+    ]
+    records = run_experiment(tiny_items(2), backends, runs_per_item=1)
+    assert len(records) == 3 * 2 * 3
+    assert [r.error for r in records if r.error] == []
+
+
+def test_concurrent_run_equals_single_backend_runs(tmp_path):
+    items = tiny_items(3)
+    descriptors = [mock_descriptor(model=f"m{n}", intercept=-1.0 - n) for n in range(3)]
+    out = tmp_path / "all.json"
+    # Frequent thread switches, so a lost or duplicated record would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        together = run_experiment(items, [build_backend(d, seed=3) for d in descriptors],
+                                  runs_per_item=2, out_path=str(out))
+    finally:
+        sys.setswitchinterval(interval)
+    apart = [
+        record
+        for d in descriptors
+        for record in run_experiment(items, [build_backend(d, seed=3)], runs_per_item=2)
+    ]
+    mask = lambda records: sorted((replace(r, timestamp="") for r in records), key=lambda r: r.key)
+    assert mask(together) == mask(apart)
+    assert mask(load_results(str(out))) == mask(apart)
+
+
+def test_worker_threads_capped():
+    threads = set()
+
+    class RecordingBackend(MockBackend):
+        def complete(self, *args):
+            threads.add(threading.get_ident())
+            return super().complete(*args)
+
+    backends = [RecordingBackend(mock_descriptor(model=f"m{n}"), seed=1)
+                for n in range(MAX_WORKERS + 2)]
+    progress_threads = []
+    records = run_experiment(tiny_items(1), backends, runs_per_item=1,
+                             progress=lambda *_: progress_threads.append(threading.get_ident()))
+    assert len(records) == len(backends) * len(tiny_items(1)[0].variants)
+    assert 1 <= len(threads) <= MAX_WORKERS
+    assert threading.get_ident() not in threads
+    assert progress_threads == [threading.get_ident()] * len(records)
+
+
+def test_backend_exception_reaches_caller():
+    class BrokenBackend:
+        descriptor = mock_descriptor(model="broken")
+
+        def complete(self, item, condition, run, prompt, sde):
+            raise RuntimeError("boom")
+
+    backends = [build_backend(mock_descriptor(), seed=1), BrokenBackend()]
+    with pytest.raises(RuntimeError, match="boom"):
+        run_experiment(tiny_items(2), backends, runs_per_item=1)
+
+
+def test_duplicate_backend_model_ids_rejected():
+    backends = [build_backend(mock_descriptor(), seed=n) for n in range(2)]
+    with pytest.raises(PromptDensityError, match="duplicate backend model ids"):
+        run_experiment(tiny_items(1), backends)
 
 
 def test_results_roundtrip(tmp_path):
@@ -400,6 +556,20 @@ def test_http_retries_with_exponential_backoff_then_succeeds():
     assert text == "fine"
     assert calls["n"] == 3
     assert sleeps == [1.0, 2.0]  # base 1s, factor 2
+
+
+@pytest.mark.parametrize("body", [
+    {"id": "x", "result": {"answer": "B"}},
+    {"choices": ["The answer is B."]},
+    ["The answer is B."],
+])
+def test_http_unparseable_200_raises(body):
+    def transport(url, headers, payload):
+        return 200, body
+
+    backend = HttpChatBackend(http_descriptor(), transport=transport)
+    with pytest.raises(PromptDensityError, match="no reply text"):
+        backend.complete(tiny_items(1)[0], "standard", 0, "p", 0.5)
 
 
 def test_http_gives_up_after_max_retries():
