@@ -57,37 +57,49 @@ def _emit(payload: dict) -> None:
 
 
 def _read_text(args) -> str:
-    if getattr(args, "text", None) is not None:
-        return args.text
-    if getattr(args, "input", None):
-        with open(args.input, encoding="utf-8") as fh:
-            return fh.read()
-    return sys.stdin.read()
+    source = "--text"
+    text = getattr(args, "text", None)
+    try:
+        if text is None and getattr(args, "input", None):
+            source = args.input
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        elif text is None:
+            source, text = "<stdin>", sys.stdin.read()
+        # Arguments and stdin carry bytes that are not UTF-8 as lone surrogates.
+        text.encode("utf-8")
+    except UnicodeError:
+        raise PromptDensityError(f"{source}: not UTF-8 text") from None
+    return text
 
 
 def _load_context(args) -> tuple[Lexicon, ScoreConfig, TemplateBank]:
     settings: dict = {}
     if getattr(args, "config", None):
         settings = read_json(args.config)
+        if not isinstance(settings, dict):
+            raise PromptDensityError(f"{args.config}: config must be a JSON object")
+    for name in ("lexicon", "templates"):
+        if not isinstance(settings.get(name, ""), str):
+            raise PromptDensityError(f"{args.config}: {name!r} must be a path string")
     lexicon_path = getattr(args, "lexicon", None) or settings.get("lexicon")
     lex = load_lexicon(lexicon_path) if lexicon_path else default_lexicon()
     templates_path = settings.get("templates")
     bank = load_templates(templates_path) if templates_path else default_templates()
-    config = DEFAULT_CONFIG
     overrides = {}
     for name in ("diluted_below", "dense_from", "ultra_above", "redundancy_min_len"):
         if name in settings:
-            overrides[name] = settings[name]
-    if settings.get("function_words_extra"):
-        overrides["function_words"] = DEFAULT_CONFIG.function_words | frozenset(
-            w.lower() for w in settings["function_words_extra"]
-        )
-    if settings.get("abstract_words_extra"):
-        overrides["abstract_words"] = DEFAULT_CONFIG.abstract_words | frozenset(
-            w.lower() for w in settings["abstract_words_extra"]
-        )
-    if overrides:
-        config = replace(config, **overrides)
+            value = settings[name]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise PromptDensityError(f"{args.config}: {name!r} must be a number")
+            overrides[name] = value
+    for name in ("function_words", "abstract_words"):
+        words = settings.get(f"{name}_extra") or []
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise PromptDensityError(f"{args.config}: '{name}_extra' must be a list of strings")
+        if words:
+            overrides[name] = getattr(DEFAULT_CONFIG, name) | frozenset(w.lower() for w in words)
+    config = replace(DEFAULT_CONFIG, **overrides) if overrides else DEFAULT_CONFIG
     return lex, config, bank
 
 
@@ -151,11 +163,12 @@ def _cmd_densify(args) -> int:
     return 0
 
 
-def _cmd_dilute(args) -> int:
+def _report_rewrite(args, transform) -> int:
+    """Print ``transform(text, bank)`` of the input and the score before and after."""
     lex, config, bank = _load_context(args)
     text = _read_text(args)
     before = analyze(text, lex, config).sde
-    output = dilute(text, seed=args.seed, intensity=args.intensity, bank=bank)
+    output = transform(text, bank)
     after = analyze(output, lex, config).sde
     if args.json:
         _emit({"output": output, "sde_before": round(before, 4), "sde_after": round(after, 4)})
@@ -163,20 +176,16 @@ def _cmd_dilute(args) -> int:
         print(output)
         print(f"sde: {before:.4f} -> {after:.4f}", file=sys.stderr)
     return 0
+
+
+def _cmd_dilute(args) -> int:
+    return _report_rewrite(
+        args, lambda text, bank: dilute(text, seed=args.seed, intensity=args.intensity, bank=bank)
+    )
 
 
 def _cmd_pad(args) -> int:
-    lex, config, _ = _load_context(args)
-    text = _read_text(args)
-    before = analyze(text, lex, config).sde
-    output = pad(text, args.groups)
-    after = analyze(output, lex, config).sde
-    if args.json:
-        _emit({"output": output, "sde_before": round(before, 4), "sde_after": round(after, 4)})
-    else:
-        print(output)
-        print(f"sde: {before:.4f} -> {after:.4f}", file=sys.stderr)
-    return 0
+    return _report_rewrite(args, lambda text, _: pad(text, args.groups))
 
 
 def _cmd_gradient(args) -> int:
@@ -253,12 +262,15 @@ def _parse_backends(args) -> list:
         except ValueError:
             raise PromptDensityError(f"{args.backend}: backend {number} has unknown kind "
                                      f"{entry['kind']!r}") from None
+        params = entry.get("params", {})
+        if not isinstance(params, dict):
+            raise PromptDensityError(f"{args.backend}: backend {number} 'params' must be an object")
         descriptor = BackendDescriptor(
             kind=kind,
             model_id=entry["model"],
             endpoint=entry.get("endpoint"),
             credential_env=entry.get("credential_env"),
-            params=entry.get("params", {}),
+            params=params,
             rate_limit_rpm=entry.get("rate_limit_rpm"),
             max_retries=entry.get("max_retries", 5),
         )

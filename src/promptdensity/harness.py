@@ -22,7 +22,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 
@@ -458,10 +458,21 @@ def _load_partial(path: str) -> dict[tuple, TrialRecord]:
 
 
 def save_results(records: list[TrialRecord], out_path: str) -> None:
+    """Write the records sorted by key as a JSON array, through a synced
+    temporary file renamed over ``out_path``, so a crash never tears it."""
     payload = [r.to_json() for r in sorted(records, key=lambda r: r.key)]
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    tmp_path = f"{out_path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, ensure_ascii=False)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+        raise
 
 
 def load_results(path: str) -> list[TrialRecord]:
@@ -630,32 +641,18 @@ class LatencyRow:
 def latency_report(records: list[TrialRecord], baseline_condition: str = "standard") -> list[LatencyRow]:
     """Mean latency and output tokens per (model, condition); a condition
     is flagged when its mean token count tops the baseline by >20%."""
+    cells: dict[tuple[str, str], list[TrialRecord]] = {}
+    for r in records:
+        cells.setdefault((r.model, r.condition), []).append(r)
+    tokens = {key: sum(r.output_tokens for r in cell) / len(cell) for key, cell in cells.items()}
     rows: list[LatencyRow] = []
-    for model, condition in sorted({(r.model, r.condition) for r in records}):
-        cell = [r for r in records if r.model == model and r.condition == condition]
-        rows.append(
-            LatencyRow(
-                model=model,
-                condition=condition,
-                mean_latency_ms=sum(r.latency_ms for r in cell) / len(cell),
-                mean_output_tokens=sum(r.output_tokens for r in cell) / len(cell),
-                over_generating=False,
-            )
-        )
-    flagged: list[LatencyRow] = []
-    for row in rows:
-        baseline = next(
-            (r for r in rows if r.model == row.model and r.condition == baseline_condition),
-            None,
-        )
-        over = (
-            baseline is not None
-            and row.condition != baseline_condition
-            and baseline.mean_output_tokens > 0
-            and row.mean_output_tokens > 1.2 * baseline.mean_output_tokens
-        )
-        flagged.append(replace(row, over_generating=over))
-    return flagged
+    for (model, condition), cell in sorted(cells.items()):
+        mean_tokens = tokens[model, condition]
+        baseline = tokens.get((model, baseline_condition), 0.0)
+        over = condition != baseline_condition and baseline > 0 and mean_tokens > 1.2 * baseline
+        latency = sum(r.latency_ms for r in cell) / len(cell)
+        rows.append(LatencyRow(model, condition, latency, mean_tokens, over))
+    return rows
 
 
 def format_latency_report(rows: list[LatencyRow], csv: bool = False) -> str:

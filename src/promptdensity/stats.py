@@ -11,10 +11,8 @@ from __future__ import annotations
 import csv as _csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-
-import numpy as np
 
 from .errors import PromptDensityError
 
@@ -114,16 +112,7 @@ def mcnemar(pairs: list[PairedOutcome], threshold: float = DEFAULT_THRESHOLD) ->
         raise PromptDensityError("duplicate (item, run) pair in comparison set")
     b = sum(1 for p in pairs if p.a_correct and not p.b_correct)
     c = sum(1 for p in pairs if not p.a_correct and p.b_correct)
-    result = mcnemar_counts(b, c, threshold)
-    return McNemarResult(
-        b=b,
-        c=c,
-        n_concordant=len(pairs) - b - c,
-        statistic=result.statistic,
-        p_value=result.p_value,
-        method=result.method,
-        verdict=result.verdict,
-    )
+    return replace(mcnemar_counts(b, c, threshold), n_concordant=len(pairs) - b - c)
 
 
 # ---------------------------------------------------------------------------
@@ -267,72 +256,107 @@ _TOL = 1e-8
 _DIVERGENCE_BOUND = 30.0
 
 
-def logistic_fit(
-    observations: list[tuple[bool, float, str]],
-    max_iter: int = _MAX_ITER,
-    tol: float = _TOL,
-) -> RegressionFit:
+def _fisher_system(cells: dict, beta: list[float]) -> tuple[list[list[float]], list[float]]:
+    """X'WX and X'(y - mu) for the design [1, score, benchmark dummies]
+    from per-benchmark sums. ``cells`` maps the benchmarks in column order
+    to {score: [trials, successes]}; the dummy of the j-th is column j + 1
+    (none for the reference, j = 0)."""
+    k = len(beta)
+    hessian = [[0.0] * k for _ in range(k)]
+    gradient = [0.0] * k
+    for j, group in enumerate(cells.values()):
+        offset = beta[0] + (beta[j + 1] if j else 0.0)
+        sw = sws = swss = sr = srs = 0.0
+        for score, (trials, successes) in group.items():
+            eta = min(max(offset + beta[1] * score, -500.0), 500.0)
+            mu = 1.0 / (1.0 + math.exp(-eta))
+            w = trials * mu * (1.0 - mu)
+            r = successes - trials * mu
+            sw += w
+            sws += w * score
+            swss += w * score * score
+            sr += r
+            srs += r * score
+        # Each entry is a sum of w, w*score or w*score**2 by how many of
+        # its two columns are the score column (1).
+        columns = (0, 1, j + 1) if j else (0, 1)
+        for a in columns:
+            gradient[a] += srs if a == 1 else sr
+            for b in columns:
+                hessian[a][b] += (sw, sws, swss)[(a == 1) + (b == 1)]
+    return hessian, gradient
+
+
+def _invert(matrix: list[list[float]]) -> list[list[float]] | None:
+    """Inverse by Gauss-Jordan elimination with partial pivoting, or None
+    when a pivot is at most 1e-12 times the largest entry (singular)."""
+    k = len(matrix)
+    floor = 1e-12 * max(abs(v) for row in matrix for v in row)
+    rows = [row + [float(i == r) for i in range(k)] for r, row in enumerate(matrix)]
+    for col in range(k):
+        pivot = max(range(col, k), key=lambda r: abs(rows[r][col]))
+        if abs(rows[pivot][col]) <= floor:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [v / lead for v in rows[col]]
+        for r in range(k):
+            factor = rows[r][col]
+            if r != col and factor != 0.0:
+                rows[r] = [v - factor * u for v, u in zip(rows[r], rows[col])]
+    return [row[k:] for row in rows]
+
+
+def logistic_fit(observations: list[tuple[bool, float, str]]) -> RegressionFit:
     """Maximum-likelihood logistic regression via Newton/IRLS.
 
     Observations are (correct, score, benchmark id) triples. Benchmarks
     enter as fixed-effect dummies against the lexicographically first
-    benchmark. Diverging coefficients (complete separation) yield
-    converged=False rather than fake estimates.
+    benchmark. Diverging coefficients (complete separation) and a singular
+    information matrix (separation, or a score confounded with benchmark;
+    standard errors are then NaN) yield converged=False, not fake estimates.
     """
     if len(observations) < 2:
         raise PromptDensityError("need at least two observations")
-    scores = np.array([s for _, s, _ in observations], dtype=float)
-    if np.ptp(scores) == 0.0:
+    scores = [float(s) for _, s, _ in observations]
+    if min(scores) == max(scores):
         raise PromptDensityError("score has zero variance")
-    y = np.array([1.0 if ok else 0.0 for ok, _, _ in observations])
     benchmarks = sorted({b for _, _, b in observations})
-    reference = benchmarks[0]
     names = ["intercept", "sde"] + [f"benchmark[{b}]" for b in benchmarks[1:]]
-    n, k = len(observations), 2 + len(benchmarks) - 1
-    x = np.zeros((n, k))
-    x[:, 0] = 1.0
-    x[:, 1] = scores
-    for j, bench in enumerate(benchmarks[1:], start=2):
-        x[:, j] = [1.0 if b == bench else 0.0 for _, _, b in observations]
+    # Observations with the same benchmark and score share a prediction.
+    cells: dict[str, dict[float, list[int]]] = {b: {} for b in benchmarks}
+    for (ok, _, bench), score in zip(observations, scores):
+        cell = cells[bench].setdefault(score, [0, 0])
+        cell[0] += 1
+        cell[1] += 1 if ok else 0
 
-    beta = np.zeros(k)
+    beta = [0.0] * len(names)
     converged = False
     separated = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        eta = np.clip(x @ beta, -500, 500)
-        mu = 1.0 / (1.0 + np.exp(-eta))
-        w = mu * (1.0 - mu)
-        hessian = x.T @ (w[:, None] * x)
-        gradient = x.T @ (y - mu)
-        try:
-            delta = np.linalg.solve(hessian, gradient)
-        except np.linalg.LinAlgError:
+    for iterations in range(1, _MAX_ITER + 1):
+        hessian, gradient = _fisher_system(cells, beta)
+        inverse = _invert(hessian)
+        if inverse is None:
             separated = True
             break
-        beta = beta + delta
-        if np.max(np.abs(beta)) > _DIVERGENCE_BOUND:
+        delta = [sum(a * g for a, g in zip(row, gradient)) for row in inverse]
+        beta = [b + d for b, d in zip(beta, delta)]
+        if max(abs(b) for b in beta) > _DIVERGENCE_BOUND:
             separated = True
             break
-        if np.max(np.abs(delta)) < tol:
+        if max(abs(d) for d in delta) < _TOL:
             converged = True
             break
 
-    eta = np.clip(x @ beta, -500, 500)
-    mu = 1.0 / (1.0 + np.exp(-eta))
-    w = mu * (1.0 - mu)
-    info = x.T @ (w[:, None] * x)
-    try:
-        cov = np.linalg.inv(info)
-        se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    except np.linalg.LinAlgError:
-        se = np.full(k, float("nan"))
+    cov = _invert(_fisher_system(cells, beta)[0])
+    se = [math.sqrt(max(cov[i][i], 0.0)) if cov else math.nan for i in range(len(names))]
     return RegressionFit(
-        coefficients=dict(zip(names, beta.tolist())),
-        standard_errors=dict(zip(names, se.tolist())),
+        coefficients=dict(zip(names, beta)),
+        standard_errors=dict(zip(names, se)),
         converged=converged and not separated,
         iterations=iterations,
-        reference_benchmark=reference,
+        reference_benchmark=benchmarks[0],
         separation_detected=separated,
     )
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -243,3 +244,46 @@ def test_run_zero_runs_domain_error(small_manifest, capsys):
     code, out, err = run_cli(capsys, "run", "--manifest", str(small_manifest), "--runs", "0")
     assert code == 1
     assert out == "" and "at least 1" in err
+
+
+@pytest.mark.parametrize("config, message", [
+    pytest.param([1, 2], "config must be a JSON object", id="array"),
+    # open(5) would read whatever file descriptor 5 is.
+    pytest.param({"lexicon": 5}, "'lexicon' must be a path string", id="lexicon-int"),
+    pytest.param({"templates": ["t.txt"]}, "'templates' must be a path string",
+                 id="templates-list"),
+    pytest.param({"diluted_below": "x"}, "'diluted_below' must be a number", id="threshold-str"),
+    pytest.param({"function_words_extra": "abc"},
+                 "'function_words_extra' must be a list of strings", id="extras-str"),
+])
+def test_malformed_config_domain_error(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "score", "--text", "x", "--config", str(path))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1 and message in err
+
+
+def test_backend_params_not_object_domain_error(tmp_path, small_manifest, capsys):
+    backend = tmp_path / "backends.json"
+    backend.write_text(json.dumps([{"kind": "mock", "model": "m", "params": [1]}]))
+    code, _, err = run_cli(capsys, "run", "--manifest", str(small_manifest),
+                           "--backend", str(backend))
+    assert code == 1
+    assert err.count("\n") == 1 and "'params' must be an object" in err
+
+
+def test_prompt_file_not_utf8_domain_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"caf\xe9 au lait\n")
+    code, _, err = run_cli(capsys, "score", str(path))
+    assert code == 1
+    assert err == f"error: {path}: not UTF-8 text\n"
+
+
+def test_stdin_not_utf8_domain_error(capsys, monkeypatch):
+    # Standard input decoded with surrogateescape, as under the C locale.
+    monkeypatch.setattr("sys.stdin", io.StringIO(b"caf\xe9".decode("utf-8", "surrogateescape")))
+    code, _, err = run_cli(capsys, "score")
+    assert code == 1
+    assert err == "error: <stdin>: not UTF-8 text\n"

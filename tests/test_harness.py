@@ -33,6 +33,7 @@ from promptdensity.harness import (
     make_synthetic_manifest,
     manifest_to_json,
     run_experiment,
+    save_results,
     validate_manifest,
 )
 from promptdensity.scoring import analyze
@@ -336,6 +337,20 @@ def test_duplicate_keys_rejected_on_load(tmp_path):
     path.write_text(json.dumps([record.to_json(), record.to_json()]))
     with pytest.raises(PromptDensityError):
         load_results(str(path))
+
+
+def test_failed_save_leaves_previous_results_intact(tmp_path):
+    out = tmp_path / "r.json"
+    records = run_experiment(tiny_items(2), [build_backend(mock_descriptor(), seed=2)],
+                             runs_per_item=1, out_path=str(out))
+    before = out.read_bytes()
+    # Sorted last, this record stops json.dump after the others are written.
+    last = max(records, key=lambda r: r.key)
+    broken = records + [replace(last, run=last.run + 1, response=object())]
+    with pytest.raises(TypeError):
+        save_results(broken, str(out))
+    assert out.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_backend_failure_records_error_flag():

@@ -1,16 +1,24 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import promptdensity
 from promptdensity.errors import PromptDensityError
 from promptdensity.stats import (
     CANONICAL_CONDITIONS,
     McNemarMethod,
     PairedOutcome,
+    RegressionFit,
     Verdict,
     accuracy_table,
     chi2_sf_1df,
@@ -354,3 +362,124 @@ def test_loglik_gradient_matches_finite_differences():
                 elif name == f"benchmark[{bench}]":
                     grad += resid
             assert grad == pytest.approx(fd, abs=1e-4)
+
+
+def test_score_confounded_with_benchmark_is_not_a_fit():
+    # The score is constant within each benchmark, so it cannot be told
+    # apart from the benchmark dummy: the information matrix is singular.
+    obs = [(i < 1, 0.2, "alpha") for i in range(4)] + [(i < 2, 0.6, "beta") for i in range(4)]
+    fit = logistic_fit(obs)
+    assert fit.separation_detected
+    assert not fit.converged
+
+
+def test_benchmark_with_one_outcome_is_not_a_fit():
+    # Every alpha answer is correct, so the intercept has no finite
+    # estimate. IRLS on the full design stopped here with converged=True
+    # once alpha's prediction rounded to exactly 1.
+    obs = [(False, 0.0, "beta"), (False, 0.03, "beta"), (True, 0.0, "beta"),
+           (True, 0.0, "beta"), (False, 0.01, "beta"), (False, 0.0, "beta"),
+           (True, 0.09, "beta"), (True, 0.57, "alpha")]
+    fit = logistic_fit(obs)
+    assert fit.separation_detected
+    assert not fit.converged
+
+
+def _numpy_irls(np, observations):
+    """Reference fit: IRLS over the full n-by-k design matrix with numpy."""
+    scores = np.array([s for _, s, _ in observations], dtype=float)
+    y = np.array([1.0 if ok else 0.0 for ok, _, _ in observations])
+    benchmarks = sorted({b for _, _, b in observations})
+    names = ["intercept", "sde"] + [f"benchmark[{b}]" for b in benchmarks[1:]]
+    n, k = len(observations), 2 + len(benchmarks) - 1
+    x = np.zeros((n, k))
+    x[:, 0] = 1.0
+    x[:, 1] = scores
+    for j, bench in enumerate(benchmarks[1:], start=2):
+        x[:, j] = [1.0 if b == bench else 0.0 for _, _, b in observations]
+
+    beta = np.zeros(k)
+    converged = False
+    separated = False
+    iterations = 0
+    for iterations in range(1, 101):
+        eta = np.clip(x @ beta, -500, 500)
+        mu = 1.0 / (1.0 + np.exp(-eta))
+        w = mu * (1.0 - mu)
+        hessian = x.T @ (w[:, None] * x)
+        gradient = x.T @ (y - mu)
+        try:
+            delta = np.linalg.solve(hessian, gradient)
+        except np.linalg.LinAlgError:
+            separated = True
+            break
+        beta = beta + delta
+        if np.max(np.abs(beta)) > 30.0:
+            separated = True
+            break
+        if np.max(np.abs(delta)) < 1e-8:
+            converged = True
+            break
+
+    eta = np.clip(x @ beta, -500, 500)
+    mu = 1.0 / (1.0 + np.exp(-eta))
+    w = mu * (1.0 - mu)
+    info = x.T @ (w[:, None] * x)
+    try:
+        se = np.sqrt(np.clip(np.diag(np.linalg.inv(info)), 0.0, None))
+    except np.linalg.LinAlgError:
+        se = np.full(k, float("nan"))
+    return RegressionFit(
+        coefficients=dict(zip(names, beta.tolist())),
+        standard_errors=dict(zip(names, se.tolist())),
+        converged=converged and not separated,
+        iterations=iterations,
+        reference_benchmark=benchmarks[0],
+        separation_detected=separated,
+    )
+
+
+@st.composite
+def _designs(draw):
+    names = ("alpha", "beta", "gamma", "delta")[: draw(st.integers(1, 4))]
+    observation = st.tuples(
+        st.booleans(), st.integers(0, 100).map(lambda i: i / 100), st.sampled_from(names)
+    )
+    return draw(st.lists(observation, min_size=2, max_size=80))
+
+
+def test_fit_matches_numpy_irls_oracle():
+    np = pytest.importorskip("numpy")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_designs())
+    def check(observations):
+        scores: dict[str, set[float]] = {}
+        for _, s, bench in observations:
+            scores.setdefault(bench, set()).add(s)
+        assume(any(len(distinct) > 1 for distinct in scores.values()))
+        fit, oracle = logistic_fit(observations), _numpy_irls(np, observations)
+        if any(len({ok for ok, _, b in observations if b == bench}) == 1 for bench in scores):
+            # A benchmark with one outcome has no finite estimate. The numpy
+            # IRLS can stop there as "converged": once its predictions round
+            # to exactly 0 or 1, weight and gradient vanish.
+            assert fit.separation_detected and not fit.converged
+            return
+        assert fit.converged == oracle.converged
+        assert fit.separation_detected == oracle.separation_detected
+        if oracle.converged:
+            for name, value in oracle.coefficients.items():
+                assert fit.coefficients[name] == pytest.approx(value, rel=0, abs=1e-8)
+                se = oracle.standard_errors[name]
+                assert fit.standard_errors[name] == pytest.approx(se, rel=1e-8)
+
+    check()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = Path(promptdensity.__file__).resolve().parents[1]
+    code = "import sys, promptdensity.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"
