@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -56,6 +57,22 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, ensure_ascii=False))
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number; JSON true and false are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_path(value) -> bool:
+    """Whether a JSON value is a string that ``open`` takes as a file name."""
+    if not isinstance(value, str) or "\0" in value:
+        return False
+    try:
+        os.fsencode(value)
+    except UnicodeError:
+        return False
+    return True
+
+
 def _read_text(args) -> str:
     source = "--text"
     text = getattr(args, "text", None)
@@ -80,7 +97,7 @@ def _load_context(args) -> tuple[Lexicon, ScoreConfig, TemplateBank]:
         if not isinstance(settings, dict):
             raise PromptDensityError(f"{args.config}: config must be a JSON object")
     for name in ("lexicon", "templates"):
-        if not isinstance(settings.get(name, ""), str):
+        if not _is_path(settings.get(name, "")):
             raise PromptDensityError(f"{args.config}: {name!r} must be a path string")
     lexicon_path = getattr(args, "lexicon", None) or settings.get("lexicon")
     lex = load_lexicon(lexicon_path) if lexicon_path else default_lexicon()
@@ -90,7 +107,7 @@ def _load_context(args) -> tuple[Lexicon, ScoreConfig, TemplateBank]:
     for name in ("diluted_below", "dense_from", "ultra_above", "redundancy_min_len"):
         if name in settings:
             value = settings[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _is_number(value):
                 raise PromptDensityError(f"{args.config}: {name!r} must be a number")
             overrides[name] = value
     for name in ("function_words", "abstract_words"):
@@ -255,24 +272,33 @@ def _parse_backends(args) -> list:
     entries = raw if isinstance(raw, list) else [raw]
     backends = []
     for number, entry in enumerate(entries):
+        where = f"{args.backend}: backend {number}"
         if not isinstance(entry, dict) or not isinstance(entry.get("model"), str):
-            raise PromptDensityError(f"{args.backend}: backend {number} needs a 'model' string")
+            raise PromptDensityError(f"{where} needs a 'model' string")
         try:
             kind = BackendKind(entry.get("kind", "http_chat"))
         except ValueError:
-            raise PromptDensityError(f"{args.backend}: backend {number} has unknown kind "
-                                     f"{entry['kind']!r}") from None
+            raise PromptDensityError(f"{where} has unknown kind {entry['kind']!r}") from None
         params = entry.get("params", {})
         if not isinstance(params, dict):
-            raise PromptDensityError(f"{args.backend}: backend {number} 'params' must be an object")
+            raise PromptDensityError(f"{where} 'params' must be an object")
+        rpm = entry.get("rate_limit_rpm")
+        if rpm is not None and not (_is_number(rpm) and rpm > 0):
+            raise PromptDensityError(f"{where} 'rate_limit_rpm' must be null or a positive number")
+        retries = entry.get("max_retries", 5)
+        if not (isinstance(retries, int) and not isinstance(retries, bool) and retries >= 1):
+            raise PromptDensityError(f"{where} 'max_retries' must be an integer of at least 1")
+        for name in ("intercept", "slope"):
+            if kind is BackendKind.MOCK and name in params and not _is_number(params[name]):
+                raise PromptDensityError(f"{where} 'params.{name}' must be a number")
         descriptor = BackendDescriptor(
             kind=kind,
             model_id=entry["model"],
             endpoint=entry.get("endpoint"),
             credential_env=entry.get("credential_env"),
             params=params,
-            rate_limit_rpm=entry.get("rate_limit_rpm"),
-            max_retries=entry.get("max_retries", 5),
+            rate_limit_rpm=rpm,
+            max_retries=retries,
         )
         backends.append(build_backend(descriptor, seed=args.seed))
     return backends
@@ -443,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     except PromptDensityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import re
 import threading
@@ -54,6 +55,22 @@ class BenchmarkItem:
     answer_format: AnswerFormat
     ground_truth: str
     variants: dict[str, str]
+
+
+# The fields of a results record: the JSON type each needs, and its name.
+_RECORD_FIELDS = {
+    "model": (str, "a string"),
+    "benchmark": (str, "a string"),
+    "item_id": (str, "a string"),
+    "condition": (str, "a string"),
+    "run": (int, "an integer"),
+    "correct": (bool, "true or false"),
+    "response": (str, "a string"),
+    "latency_ms": ((int, float), "a number"),
+    "output_tokens": (int, "an integer"),
+    "sde": ((int, float), "a number"),
+    "timestamp": (str, "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -95,25 +112,32 @@ class TrialRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "TrialRecord":
-        try:
-            return cls(
-                model=data["model"],
-                benchmark=data["benchmark"],
-                item_id=data["item_id"],
-                condition=data["condition"],
-                run=int(data["run"]),
-                correct=bool(data["correct"]),
-                response=data["response"],
-                latency_ms=float(data["latency_ms"]),
-                output_tokens=int(data["output_tokens"]),
-                sde=float(data["sde"]),
-                timestamp=data["timestamp"],
-                error=data.get("error"),
-            )
-        except KeyError as exc:
-            raise PromptDensityError(f"trial record lacks field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise PromptDensityError(f"malformed trial record: {exc}") from None
+        if not isinstance(data, dict):
+            raise PromptDensityError("malformed trial record: not a JSON object")
+        for name, (kind, described) in _RECORD_FIELDS.items():
+            if name not in data:
+                raise PromptDensityError(f"trial record lacks field {name!r}")
+            value = data[name]
+            # JSON true and false are Python ints, but not record numbers.
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise PromptDensityError(f"malformed trial record: {name!r} must be {described}")
+        error = data.get("error")
+        if error is not None and not isinstance(error, str):
+            raise PromptDensityError("malformed trial record: 'error' must be a string or null")
+        return cls(
+            model=data["model"],
+            benchmark=data["benchmark"],
+            item_id=data["item_id"],
+            condition=data["condition"],
+            run=data["run"],
+            correct=data["correct"],
+            response=data["response"],
+            latency_ms=float(data["latency_ms"]),
+            output_tokens=data["output_tokens"],
+            sde=float(data["sde"]),
+            timestamp=data["timestamp"],
+            error=error,
+        )
 
 
 @dataclass(frozen=True)
@@ -139,7 +163,10 @@ def _stable_uniform(*parts) -> float:
 
 
 def _sigmoid(x: float) -> float:
-    return 1.0 / (1.0 + math.exp(-x))
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # x below about -709.78
+        return 0.0
 
 
 class MockBackend:
@@ -393,7 +420,7 @@ def read_json(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise PromptDensityError(f"{path}: not valid JSON: {exc}") from None
 
 
@@ -674,6 +701,14 @@ def format_latency_report(rows: list[LatencyRow], csv: bool = False) -> str:
 # Synthetic manifest
 # ---------------------------------------------------------------------------
 
+# The arithmetic item kinds: standard wording, dense wording, answer.
+_ARITHMETIC = (
+    ("the sum of {} and {}", "Sum: {} + {}", operator.add),
+    ("the product of {} and {}", "Product: {} * {}", operator.mul),
+    ("the difference between {} and {}", "Difference: {} minus {}", operator.sub),
+)
+
+
 def make_synthetic_manifest(n: int, seed: int = 0) -> list[BenchmarkItem]:
     """Generate arithmetic and selection items whose standard text is the
     baseline, ultra_dense is a symbol-heavy rewrite, and diluted comes from
@@ -683,51 +718,31 @@ def make_synthetic_manifest(n: int, seed: int = 0) -> list[BenchmarkItem]:
     rng = _random.Random(seed)
     items: list[BenchmarkItem] = []
     for i in range(n):
-        kind = i % 4
-        if kind < 3:
+        if i % 4 < len(_ARITHMETIC):
+            wording, dense_wording, answer = _ARITHMETIC[i % 4]
             a, b = rng.randrange(12, 95), rng.randrange(12, 95)
-            if kind == 0:
-                std = f"Compute the sum of {a} and {b}. Reply with the final integer."
-                dense = f"Sum: {a} + {b}. Integer only."
-                truth = a + b
-            elif kind == 1:
-                std = f"Compute the product of {a} and {b}. Reply with the final integer."
-                dense = f"Product: {a} * {b}. Integer only."
-                truth = a * b
-            else:
-                std = f"Compute the difference between {a} and {b}. Reply with the final integer."
-                dense = f"Difference: {a} minus {b}. Integer only."
-                truth = a - b
-            item = BenchmarkItem(
-                item_id=f"arith_{i:04d}",
-                benchmark="arithmetic",
-                answer_format=AnswerFormat.INTEGER,
-                ground_truth=str(truth),
-                variants={
-                    "standard": std,
-                    "ultra_dense": dense,
-                    "diluted": dilute(std, seed=seed * 100003 + i),
-                },
-            )
+            std = f"Compute {wording.format(a, b)}. Reply with the final integer."
+            dense = f"{dense_wording.format(a, b)}. Integer only."
+            item_id = f"arith_{i:04d}"
+            benchmark = "arithmetic"
+            answer_format = AnswerFormat.INTEGER
+            truth = str(answer(a, b))
         else:
             values = rng.sample(range(10, 99), 4)
-            letter = MC_LETTERS[max(range(4), key=lambda j: values[j])]
             options = " ".join(f"{L}. {v}" for L, v in zip(MC_LETTERS, values))
             std = (
                 f"Which of the following numbers is the largest? {options} "
                 "Reply with one letter in the format: The answer is <LETTER>."
             )
             dense = f"Largest: {options} Reply: The answer is <LETTER>."
-            item = BenchmarkItem(
-                item_id=f"choice_{i:04d}",
-                benchmark="choice",
-                answer_format=AnswerFormat.MC_LETTER,
-                ground_truth=letter,
-                variants={
-                    "standard": std,
-                    "ultra_dense": dense,
-                    "diluted": dilute(std, seed=seed * 100003 + i),
-                },
-            )
-        items.append(item)
+            item_id = f"choice_{i:04d}"
+            benchmark = "choice"
+            answer_format = AnswerFormat.MC_LETTER
+            truth = MC_LETTERS[max(range(4), key=lambda j: values[j])]
+        variants = {
+            "standard": std,
+            "ultra_dense": dense,
+            "diluted": dilute(std, seed=seed * 100003 + i),
+        }
+        items.append(BenchmarkItem(item_id, benchmark, answer_format, truth, variants))
     return items

@@ -8,11 +8,16 @@ The lexicon file format is plain UTF-8 text, one entry per line:
 FILLER, HEDGE, META, TRANSITIONAL, NOMINALIZATION_SUFFIX, and UNIT. A
 phrase may not appear under two categories. Phrases are stored lowercase
 with single-space word separators; suffix entries are bare letter runs.
+
+The dilution template bank shares the format with its own categories;
+``read_data_file`` and ``tagged_lines`` read and split both files.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache, cached_property
 from importlib import resources
 
 from .errors import LexiconFormatError
@@ -49,20 +54,17 @@ class PhraseMatch:
     phrase: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lexicon:
-    """Immutable-after-load phrase sets keyed by category."""
+    """Immutable phrase sets keyed by category."""
 
     entries: dict[Category, frozenset[str]] = field(default_factory=dict)
 
     def phrases(self, category: Category) -> frozenset[str]:
         return self.entries.get(category, frozenset())
 
-    def __contains__(self, item: tuple[Category, str]) -> bool:
-        category, phrase = item
-        return phrase in self.phrases(category)
-
-    # Index: first word -> [(word tuple, category)], longest first.
+    # Index: first word -> [(word tuple, category)], longest first; built once.
+    @cached_property
     def _phrase_index(self) -> dict[str, list[tuple[tuple[str, ...], Category]]]:
         index: dict[str, list[tuple[tuple[str, ...], Category]]] = {}
         for category in NOISE_CATEGORIES:
@@ -78,21 +80,36 @@ def _normalize_phrase(raw: str) -> str:
     return " ".join(raw.lower().split())
 
 
-def parse_lexicon(content: str) -> Lexicon:
-    """Parse lexicon file content; raises LexiconFormatError on bad lines."""
-    sets: dict[Category, set[str]] = {c: set() for c in Category}
-    owner: dict[str, Category] = {}
+def read_data_file(path: str | None, shipped: str) -> str:
+    """Content of the file at ``path``, or of the shipped data file ``shipped``."""
+    if path is None:
+        return resources.files("promptdensity.data").joinpath(shipped).read_text("utf-8")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def tagged_lines(content: str, categories: type[Enum], noun: str) -> Iterator[tuple]:
+    """(line number, category, raw value) of each CATEGORY<TAB>value line
+    but blanks and ``#`` comments; ``noun`` names the value in errors."""
     for lineno, line in enumerate(content.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "\t" not in line:
-            raise LexiconFormatError("expected CATEGORY<TAB>phrase", lineno)
-        cat_text, _, phrase_text = line.partition("\t")
+            raise LexiconFormatError(f"expected CATEGORY<TAB>{noun}", lineno)
+        cat_text, _, value = line.partition("\t")
         try:
-            category = Category(cat_text.strip())
+            category = categories(cat_text.strip())
         except ValueError:
             raise LexiconFormatError(f"unknown category {cat_text.strip()!r}", lineno) from None
+        yield lineno, category, value
+
+
+def parse_lexicon(content: str) -> Lexicon:
+    """Parse lexicon file content; raises LexiconFormatError on bad lines."""
+    sets: dict[Category, set[str]] = {c: set() for c in Category}
+    owner: dict[str, Category] = {}
+    for lineno, category, phrase_text in tagged_lines(content, Category, "phrase"):
         phrase = _normalize_phrase(phrase_text)
         if not phrase:
             raise LexiconFormatError("empty phrase", lineno)
@@ -110,23 +127,13 @@ def parse_lexicon(content: str) -> Lexicon:
 
 def load_lexicon(path: str | None = None) -> Lexicon:
     """Load a lexicon file, or the shipped default when no path is given."""
-    if path is None:
-        content = resources.files("promptdensity.data").joinpath("lexicon.txt").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            content = fh.read()
-    return parse_lexicon(content)
+    return parse_lexicon(read_data_file(path, "lexicon.txt"))
 
 
-_DEFAULT: Lexicon | None = None
-
-
+@cache
 def default_lexicon() -> Lexicon:
     """Shipped seed lexicon, loaded once per process."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = load_lexicon()
-    return _DEFAULT
+    return load_lexicon()
 
 
 def match_phrases(seq: TokenSequence, lex: Lexicon) -> list[PhraseMatch]:
@@ -135,7 +142,7 @@ def match_phrases(seq: TokenSequence, lex: Lexicon) -> list[PhraseMatch]:
     Multi-word phrases only match runs of non-punctuation tokens separated
     by exactly one space in the source; matches never overlap.
     """
-    index = lex._phrase_index()
+    index = lex._phrase_index
     tokens = seq.tokens
     source_bytes = seq.source.encode("utf-8")
     matches: list[PhraseMatch] = []

@@ -13,11 +13,18 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
+from functools import cache
 
 from . import wordlists
 from .errors import EmptyPromptError, LexiconFormatError, PromptDensityError
-from .lexicon import Category, Lexicon, default_lexicon, match_phrases
+from .lexicon import (
+    Category,
+    Lexicon,
+    default_lexicon,
+    match_phrases,
+    read_data_file,
+    tagged_lines,
+)
 from .scoring import (
     DEFAULT_CONFIG,
     LabelKind,
@@ -112,17 +119,7 @@ class TemplateBank:
 
 def parse_templates(content: str) -> TemplateBank:
     buckets: dict[TemplateCategory, list[str]] = {c: [] for c in TemplateCategory}
-    for lineno, line in enumerate(content.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "\t" not in line:
-            raise LexiconFormatError("expected CATEGORY<TAB>text", lineno)
-        cat_text, _, value = line.partition("\t")
-        try:
-            category = TemplateCategory(cat_text.strip())
-        except ValueError:
-            raise LexiconFormatError(f"unknown category {cat_text.strip()!r}", lineno) from None
+    for lineno, category, value in tagged_lines(content, TemplateCategory, "text"):
         value = value.strip()
         if not value:
             raise LexiconFormatError("empty template", lineno)
@@ -138,22 +135,12 @@ def parse_templates(content: str) -> TemplateBank:
 
 
 def load_templates(path: str | None = None) -> TemplateBank:
-    if path is None:
-        content = resources.files("promptdensity.data").joinpath("templates.txt").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            content = fh.read()
-    return parse_templates(content)
+    return parse_templates(read_data_file(path, "templates.txt"))
 
 
-_DEFAULT_BANK: TemplateBank | None = None
-
-
+@cache
 def default_templates() -> TemplateBank:
-    global _DEFAULT_BANK
-    if _DEFAULT_BANK is None:
-        _DEFAULT_BANK = load_templates()
-    return _DEFAULT_BANK
+    return load_templates()
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +482,8 @@ def gradient_variants(
     rng = random.Random(seed)
 
     base = densify(text, lex, config).output
-    s_max = analyze(base, lex, config).sde
-    current = base
-    current_sde = s_max
+    current = analyze(base, lex, config)
+    s_max = current.sde
     preambles_used = 0
     hedge_counter = 0
     # Single-word hedges give the finest step size near a target.
@@ -509,34 +495,32 @@ def gradient_variants(
             results[target] = GradientVariant(target, base, s_max, reachable=False)
             continue
         guard = 0
-        while current_sde > target + 0.05 and guard < 500:
+        while current.sde > target + 0.05 and guard < 500:
             guard += 1
             stepped = False
-            if current_sde - target > 0.20 and preambles_used < len(bank.preambles):
+            if current.sde - target > 0.20 and preambles_used < len(bank.preambles):
                 # Preambles cover ground quickly but must not overshoot
                 # past the band; fall back to hedges when they would.
-                candidate = bank.preambles[preambles_used] + " " + current
-                candidate_sde = analyze(candidate, lex, config).sde
-                if candidate_sde > target + 0.05:
+                prefixed = bank.preambles[preambles_used] + " " + current.seq.source
+                candidate = analyze(prefixed, lex, config)
+                if candidate.sde > target + 0.05:
                     preambles_used += 1
-                    current, current_sde = candidate, candidate_sde
+                    current = candidate
                     stepped = True
             if not stepped:
                 hedge = unit_hedges[hedge_counter % len(unit_hedges)]
                 hedge_counter += 1
-                current = _insert_hedge_at(current, hedge, rng)
-                current_sde = analyze(current, lex, config).sde
-        results[target] = GradientVariant(target, current, current_sde)
+                current = analyze(_insert_hedge_at(current.seq, hedge, rng), lex, config)
+        results[target] = GradientVariant(target, current.seq.source, current.sde)
     return [results[t] for t in ordered]
 
 
-def _insert_hedge_at(text: str, hedge: str, rng: random.Random) -> str:
-    """Insert one hedge before a word token at a seeded position."""
-    seq = tokenize(text)
+def _insert_hedge_at(seq: TokenSequence, hedge: str, rng: random.Random) -> str:
+    """Insert one hedge before a word token of ``seq`` at a seeded position."""
     word_positions = [t.start for t in seq.tokens if t.kind is TokenKind.WORD]
     if not word_positions:
-        return text + " " + hedge
-    return _insert_at(text, word_positions[rng.randrange(len(word_positions))], hedge)
+        return seq.source + " " + hedge
+    return _insert_at(seq.source, word_positions[rng.randrange(len(word_positions))], hedge)
 
 
 # ---------------------------------------------------------------------------

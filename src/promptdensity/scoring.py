@@ -34,13 +34,6 @@ _CATEGORY_LABELS = {
     Category.TRANSITIONAL: LabelKind.TRANSITIONAL,
 }
 
-NOISE_LABELS = (
-    LabelKind.FILLER,
-    LabelKind.HEDGE,
-    LabelKind.META,
-    LabelKind.TRANSITIONAL,
-)
-
 
 @dataclass(frozen=True)
 class TokenLabel:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptdensity.cli import main
 from promptdensity.harness import make_synthetic_manifest, manifest_to_json
@@ -287,3 +291,269 @@ def test_stdin_not_utf8_domain_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "score")
     assert code == 1
     assert err == "error: <stdin>: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("entry, message", [
+    pytest.param({"kind": "http_chat", "rate_limit_rpm": "x"}, "'rate_limit_rpm' must be null",
+                 id="rpm-str"),
+    pytest.param({"kind": "mock", "rate_limit_rpm": -60}, "'rate_limit_rpm' must be null",
+                 id="rpm-negative"),
+    pytest.param({"kind": "http_chat", "max_retries": "3"}, "'max_retries' must be an integer",
+                 id="retries-str"),
+    # With no attempt allowed, every trial would be recorded as "gave up after retries".
+    pytest.param({"kind": "http_chat", "max_retries": 0}, "'max_retries' must be an integer",
+                 id="retries-zero"),
+    pytest.param({"kind": "http_chat", "max_retries": True}, "'max_retries' must be an integer",
+                 id="retries-bool"),
+    pytest.param({"kind": "mock", "params": {"intercept": "x"}}, "'params.intercept' must be a number",
+                 id="intercept-str"),
+    pytest.param({"kind": "mock", "params": {"slope": [1]}}, "'params.slope' must be a number",
+                 id="slope-list"),
+    pytest.param({"kind": "mock", "params": {"slope": False}}, "'params.slope' must be a number",
+                 id="slope-bool"),
+])
+def test_backend_bad_number_domain_error(tmp_path, small_manifest, capsys, monkeypatch,
+                                         entry, message):
+    # The credential is set so that the http_chat entries would get as far
+    # as pacing and retrying; the endpoint is a closed local port.
+    monkeypatch.setenv("PROMPTDENSITY_TEST_KEY", "k")
+    backend = tmp_path / "backends.json"
+    backend.write_text(json.dumps([{
+        "model": "m", "endpoint": "http://127.0.0.1:9/v1",
+        "credential_env": "PROMPTDENSITY_TEST_KEY", **entry,
+    }]))
+    code, out, err = run_cli(capsys, "run", "--manifest", str(small_manifest),
+                             "--backend", str(backend))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1 and message in err
+
+
+def test_mock_extreme_intercept_runs(tmp_path, small_manifest, capsys):
+    # exp(1000) overflows a float; the success probability is simply 0.
+    backend = tmp_path / "backends.json"
+    backend.write_text(json.dumps([{"kind": "mock", "model": "m",
+                                    "params": {"intercept": -1000}}]))
+    code, out, _ = run_cli(capsys, "run", "--manifest", str(small_manifest),
+                           "--backend", str(backend), "--runs", "1")
+    assert code == 0
+    assert not any(r["correct"] for r in json.loads(out))
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["analyze", "{dir}"], id="results"),
+    pytest.param(["score", "--text", "x", "--lexicon", "{dir}"], id="lexicon"),
+    pytest.param(["score", "--text", "x", "--config", "{dir}"], id="config"),
+    pytest.param(["run", "--manifest", "{dir}"], id="manifest"),
+])
+def test_directory_path_domain_error(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1 and "Is a directory" in err
+
+
+@pytest.mark.parametrize("path", [
+    pytest.param("lex\u0000icon.txt", id="nul"),
+    pytest.param("lex\ud800icon.txt", id="lone-surrogate"),
+])
+def test_config_path_not_a_file_name_domain_error(tmp_path, capsys, path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lexicon": path}))
+    code, out, err = run_cli(capsys, "score", "--text", "x", "--config", str(config))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1 and "'lexicon' must be a path string" in err
+
+
+_RECORD = {
+    "model": "m", "benchmark": "b", "item_id": "q1", "condition": "diluted", "run": 0,
+    "correct": False, "response": "The answer is B.", "latency_ms": 150.0,
+    "output_tokens": 5, "sde": 0.3, "timestamp": "2026-01-01T00:00:00+00:00",
+}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # Read as bool("false"), this was a correct trial: 100.0% accuracy.
+    pytest.param("correct", "false", "'correct' must be true or false", id="correct-str"),
+    pytest.param("model", [1], "'model' must be a string", id="model-list"),
+    pytest.param("condition", {"a": 1}, "'condition' must be a string", id="condition-object"),
+    pytest.param("run", float("inf"), "'run' must be an integer", id="run-infinity"),
+    pytest.param("output_tokens", True, "'output_tokens' must be an integer", id="tokens-bool"),
+    pytest.param("sde", "0.3", "'sde' must be a number", id="sde-str"),
+    pytest.param("error", 5, "'error' must be a string or null", id="error-int"),
+])
+def test_results_wrong_type_domain_error(tmp_path, capsys, field, value, message):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps([{**_RECORD, field: value}]))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1 and message in err
+
+
+def test_results_nested_too_deeply_domain_error(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1 and "not valid JSON" in err
+
+
+# ---------------------------------------------------------------------------
+# Any JSON document as an input file: exit 0 or 1, or a usage error
+# ---------------------------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                  max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _object(draw, fields: dict):
+    """An object with a valid value for each field, of which one in four
+    times one is then left out or given any JSON value. A field's strategy
+    may draw a dict of several fields that must agree."""
+    obj = {}
+    for name, value in fields.items():
+        drawn = draw(value)
+        obj.update(drawn if isinstance(name, tuple) else {name: drawn})
+    if draw(st.integers(0, 3)) == 0:
+        name = draw(st.sampled_from(sorted(obj)))
+        if draw(st.booleans()):
+            del obj[name]
+        else:
+            obj[name] = draw(_JSON)
+    return obj
+
+
+def _key(obj: dict, fields: tuple[str, ...]) -> str:
+    """A hashable key of some fields, which may hold any JSON value."""
+    return repr([obj.get(name) for name in fields])
+
+
+_PROMPT = st.sampled_from([
+    "Compute 12 + 30. Reply with the final integer.",
+    "Largest: A. 1 B. 9 Reply: The answer is <LETTER>.",
+    "Can you maybe tell me who wrote the first program?",
+])
+_ITEM = _object({
+    "id": st.sampled_from(["q1", "q2", "q3"]),
+    "benchmark": st.sampled_from(["arithmetic", "choice"]),
+    ("answer_format", "ground_truth"): st.sampled_from([
+        {"answer_format": "integer", "ground_truth": "42"},
+        {"answer_format": "mc_letter", "ground_truth": "B"},
+        {"answer_format": "exact_string", "ground_truth": "Ada"},
+        {"answer_format": "integer", "ground_truth": "B"},
+    ]),
+    "variants": st.dictionaries(st.sampled_from(["standard", "diluted", "ultra_dense",
+                                                 "gradient_0.5"]),
+                                _PROMPT, min_size=1, max_size=3),
+})
+_MANIFEST = _object({
+    "items": st.lists(_ITEM, min_size=1, max_size=3,
+                      unique_by=lambda item: _key(item, ("benchmark", "id"))),
+}) | _JSON
+# No "endpoint" field, so no request is sent and no retry waits.
+_BACKEND = _object({
+    "model": st.sampled_from(["m1", "m2"]),
+    "kind": st.sampled_from(["mock", "http_chat"]),
+    "credential_env": st.just("PROMPTDENSITY_TEST_KEY"),
+    "params": _object({"intercept": st.floats(-5, 5), "slope": st.floats(-5, 5)}),
+    "rate_limit_rpm": st.none() | st.floats(1, 600),
+    "max_retries": st.integers(1, 5),
+})
+_BACKENDS = st.lists(_BACKEND, min_size=1, max_size=3) | _BACKEND | _JSON
+_CONFIG = _object({
+    "lexicon": st.sampled_from(["", "missing.txt", "."]),
+    "templates": st.sampled_from(["", "missing.txt", "."]),
+    "diluted_below": st.floats(0, 1),
+    "dense_from": st.floats(0, 1),
+    "ultra_above": st.floats(0, 1),
+    "redundancy_min_len": st.integers(0, 4),
+    "function_words_extra": st.lists(st.text(max_size=5), max_size=2),
+    "abstract_words_extra": st.lists(st.text(max_size=5), max_size=2),
+}) | _JSON
+# Few distinct keys, so that ultra_dense and diluted trials pair up.
+_TRIAL = _object({
+    "model": st.just("m1"),
+    "benchmark": st.sampled_from(["b1", "b2"]),
+    "item_id": st.just("q1"),
+    "condition": st.sampled_from(["ultra_dense", "diluted", "standard"]),
+    "run": st.integers(0, 1),
+    "correct": st.booleans(),
+    "response": st.text(max_size=6),
+    "latency_ms": st.floats(0, 1000),
+    "output_tokens": st.integers(0, 50),
+    "sde": st.floats(0, 1),
+    "timestamp": st.text(max_size=6),
+    "error": st.none() | st.text(max_size=6),
+})
+_RESULTS = st.lists(_TRIAL, min_size=1, max_size=4, unique_by=lambda trial: _key(
+    trial, ("model", "benchmark", "item_id", "condition", "run"))) | _JSON
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """An empty directory with a fixed 2-item manifest, where relative paths
+    in generated files name nothing else."""
+    path = tmp_path_factory.mktemp("anyjson")
+    (path / "fixed.json").write_text(json.dumps(manifest_to_json(make_synthetic_manifest(2, 2))))
+    return path
+
+
+def _exits_cleanly(workdir, argv: list[str]) -> None:
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+
+
+def _write_json(workdir, name: str, document) -> str:
+    (workdir / name).write_text(json.dumps(document))
+    return name
+
+
+@settings(max_examples=100, deadline=None)
+@given(manifest=_MANIFEST, strict=st.booleans())
+def test_any_manifest_exits_cleanly(workdir, manifest, strict):
+    path = _write_json(workdir, "manifest.json", manifest)
+    _exits_cleanly(workdir, ["validate", path] + (["--strict"] if strict else []))
+    _exits_cleanly(workdir, ["run", "--manifest", path, "--backend", "mock", "--runs", "1"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(backends=_BACKENDS)
+def test_any_backend_file_exits_cleanly(workdir, backends):
+    path = _write_json(workdir, "backends.json", backends)
+    _exits_cleanly(workdir, ["run", "--manifest", "fixed.json", "--backend", path, "--runs", "1"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=_CONFIG)
+def test_any_config_exits_cleanly(workdir, config):
+    path = _write_json(workdir, "config.json", config)
+    _exits_cleanly(workdir, ["score", "--text", "Compute 12 + 30.", "--config", path])
+
+
+@settings(max_examples=100, deadline=None)
+@given(results=_RESULTS)
+def test_any_results_file_exits_cleanly(workdir, results):
+    path = _write_json(workdir, "results.json", results)
+    _exits_cleanly(workdir, ["analyze", path])
+    _exits_cleanly(workdir, ["mcnemar", path])
+
+
+@settings(max_examples=100, deadline=None)
+@given(prompt=st.binary(max_size=40))
+def test_any_prompt_bytes_exit_cleanly(workdir, prompt):
+    (workdir / "prompt.txt").write_bytes(prompt)
+    _exits_cleanly(workdir, ["score", "prompt.txt"])

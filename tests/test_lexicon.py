@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 
@@ -9,9 +11,11 @@ from promptdensity.lexicon import (
     Category,
     NOISE_CATEGORIES,
     default_lexicon,
+    load_lexicon,
     match_phrases,
     parse_lexicon,
 )
+from promptdensity.scoring import analyze
 from promptdensity.tokens import tokenize
 
 
@@ -57,6 +61,26 @@ def test_unknown_category_rejected():
 def test_comments_blanks_and_duplicate_collapse():
     lex = parse_lexicon("# comment\n\nFILLER\tplease\nFILLER\tplease\nFILLER\tPlease\n")
     assert lex.phrases(Category.FILLER) == frozenset({"please"})
+
+
+def test_lexicon_is_frozen():
+    lex = parse_lexicon("FILLER\tplease\n")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lex.entries = {}
+
+
+def test_phrase_index_built_once():
+    lex = parse_lexicon("FILLER\tplease\nHEDGE\tkind of\n")
+    assert lex._phrase_index is lex._phrase_index
+
+
+def test_pickled_lexicon_scores_the_same(corpus):
+    # Process pools pickle their arguments; this lexicon has built its index.
+    lex = load_lexicon()
+    before = [analyze(text, lex).to_report() for text in corpus]
+    copy = pickle.loads(pickle.dumps(lex))
+    assert copy == lex
+    assert [analyze(text, copy).to_report() for text in corpus] == before
 
 
 def test_single_phrase_match():

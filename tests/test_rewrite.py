@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from promptdensity import wordlists
-from promptdensity.errors import EmptyPromptError, PromptDensityError
+from promptdensity.errors import EmptyPromptError, LexiconFormatError, PromptDensityError
 from promptdensity.lexicon import Category, default_lexicon
 from promptdensity.rewrite import (
     Severity,
@@ -305,6 +305,16 @@ def test_gradient_unreachable_targets_reported():
         assert variants[0].achieved < 1.0
 
 
+def test_gradient_tokenizes_only_to_analyze(corpus, monkeypatch):
+    # Each hedge goes into the tokens of the analysis just made.
+    def no_tokenize(text):
+        raise AssertionError("gradient_variants tokenized outside analyze")
+
+    monkeypatch.setattr("promptdensity.rewrite.tokenize", no_tokenize)
+    for text in corpus[:4]:
+        assert gradient_variants(text, TARGETS, seed=3)
+
+
 def test_gradient_rejects_bad_targets():
     with pytest.raises(PromptDensityError):
         gradient_variants("text here", [0.0, 0.5])
@@ -362,3 +372,10 @@ def test_template_bank_requires_all_categories():
 def test_template_bank_rejects_unknown_category():
     with pytest.raises(Exception):
         parse_templates("NOISE\thello\n")
+
+
+def test_template_line_without_tab_reports_line_number():
+    with pytest.raises(LexiconFormatError) as err:
+        parse_templates("PREAMBLE\tHey there.\nHEDGE_INSERT maybe\n")
+    assert err.value.line == 2
+    assert str(err.value) == "line 2: expected CATEGORY<TAB>text"
