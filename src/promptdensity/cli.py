@@ -335,6 +335,7 @@ def _cmd_analyze(args) -> int:
                         "accuracy": {k: round(v, 2) for k, v in r.accuracy.items()},
                         "delta": None if r.delta is None else round(r.delta, 2),
                         "significant": r.significant,
+                        "verdict": None if r.verdict is None else r.verdict.value,
                     }
                     for r in rows
                 ],

@@ -355,7 +355,8 @@ def validate_manifest(
         if not isinstance(item_id, str) or not item_id:
             issues.append(f"{where}: missing id")
             continue
-        where = item_id
+        # An id with a newline or other control character would split the line.
+        where = item_id if item_id.isprintable() else repr(item_id)
         if item_id in seen_ids:
             issues.append(f"{where}: duplicate item id")
             continue

@@ -21,7 +21,7 @@ from functools import cache, cached_property
 from importlib import resources
 
 from .errors import LexiconFormatError
-from .tokens import TokenKind, TokenSequence
+from .tokens import TokenSequence
 
 
 class Category(Enum):
@@ -144,30 +144,19 @@ def match_phrases(seq: TokenSequence, lex: Lexicon) -> list[PhraseMatch]:
     """
     index = lex._phrase_index
     tokens = seq.tokens
+    lowered = seq.lowered  # None for punctuation, which matches no word
     source_bytes = seq.source.encode("utf-8")
     matches: list[PhraseMatch] = []
     i = 0
     while i < len(tokens):
-        tok = tokens[i]
-        if tok.kind is TokenKind.PUNCTUATION:
-            i += 1
-            continue
-        candidates = index.get(tok.text.lower(), ())
+        candidates = index.get(lowered[i], ())
         chosen: tuple[tuple[str, ...], Category] | None = None
         for words, category in candidates:
             end = i + len(words)
-            if end > len(tokens):
-                continue
-            ok = True
-            for offset, word in enumerate(words):
-                t = tokens[i + offset]
-                if t.kind is TokenKind.PUNCTUATION or t.text.lower() != word:
-                    ok = False
-                    break
-                if offset and source_bytes[tokens[i + offset - 1].end : t.start] != b" ":
-                    ok = False
-                    break
-            if ok:
+            if lowered[i:end] == words and all(
+                source_bytes[tokens[k - 1].end : tokens[k].start] == b" "
+                for k in range(i + 1, end)
+            ):
                 chosen = (words, category)
                 break
         if chosen is None:

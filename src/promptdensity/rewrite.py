@@ -180,7 +180,7 @@ def _findings(
                 Severity.REMOVE_SAFE)
 
     words = _word_indices(tokens)
-    lowered = [tokens[i].text.lower() for i in words]
+    lowered = [seq.lowered[i] for i in words]
     for pos, i in enumerate(words):
         if i in claimed or lowered[pos] not in wordlists.LIGHT_VERBS:
             continue
@@ -228,20 +228,19 @@ def lint(
 # ---------------------------------------------------------------------------
 
 def _question_scaffolds(seq: TokenSequence, claimed: set[int]) -> list[tuple[int, int, str]]:
-    tokens = seq.tokens
+    lowered = seq.lowered
+    starts: dict[str | None, list[int]] = {}
+    for i, word in enumerate(lowered):
+        starts.setdefault(word, []).append(i)
     out: list[tuple[int, int, str]] = []
     for phrase, replacement in wordlists.QUESTION_PATTERNS:
-        words = phrase.split(" ")
-        for i in range(len(tokens) - len(words) + 1):
-            if any((i + o) in claimed for o in range(len(words))):
-                continue
-            if all(
-                tokens[i + o].kind is not TokenKind.PUNCTUATION
-                and tokens[i + o].text.lower() == w
-                for o, w in enumerate(words)
-            ):
-                out.append((i, i + len(words), replacement))
-                claimed.update(range(i, i + len(words)))
+        words = tuple(phrase.split(" "))
+        # Only positions holding the first word can open the pattern.
+        for i in starts.get(words[0], ()):
+            end = i + len(words)
+            if lowered[i:end] == words and claimed.isdisjoint(range(i, end)):
+                out.append((i, end, replacement))
+                claimed.update(range(i, end))
     out.sort()
     return out
 
@@ -315,7 +314,7 @@ def _densify_round(
         for i, (tok, lab) in enumerate(zip(tokens, labels)):
             if i in claimed or lab.kind is not LabelKind.FUNCTION:
                 continue
-            if tok.kind is TokenKind.WORD and tok.text.lower() in _ELIDABLE:
+            if tok.kind is TokenKind.WORD and seq.lowered[i] in _ELIDABLE:
                 drop.add(i)
                 claimed.add(i)
                 notes.append(f"elided function word {tok.text!r}")
@@ -327,7 +326,7 @@ def _densify_round(
     for pos, i in enumerate(word_idx):
         if i in claimed or tokens[i].kind is not TokenKind.WORD:
             continue
-        lower = tokens[i].text.lower()
+        lower = seq.lowered[i]
         prev_i = word_idx[pos - 1] if pos > 0 else None
         next_i = word_idx[pos + 1] if pos + 1 < len(word_idx) else None
         if lower in _CONJUNCTIONS and (
@@ -358,7 +357,11 @@ def densify(
 ) -> RewriteResult:
     """Apply all safe deletions and deterministic replacements, repeatedly,
     until the text is stable. Raises if the result would be empty."""
-    lex = lex if lex is not None else default_lexicon()
+    return _densify(text, lex if lex is not None else default_lexicon(), config)[0]
+
+
+def _densify(text: str, lex: Lexicon, config: ScoreConfig) -> tuple[RewriteResult, PromptAnalysis]:
+    """``densify`` and the analysis of its output."""
     before = current = analyze(text, lex, config)
     all_applied: list[Diagnostic] = []
     all_notes: list[str] = []
@@ -379,7 +382,7 @@ def densify(
         sde_before=before.sde,
         sde_after=current.sde,
         structural_edits=tuple(all_notes),
-    )
+    ), current
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +484,8 @@ def gradient_variants(
     bank = bank if bank is not None else default_templates()
     rng = random.Random(seed)
 
-    base = densify(text, lex, config).output
-    current = analyze(base, lex, config)
+    current = _densify(text, lex, config)[1]
+    base = current.seq.source
     s_max = current.sde
     preambles_used = 0
     hedge_counter = 0

@@ -44,6 +44,16 @@ class TokenLabel:
     concrete: bool = False
 
 
+# Every possible label, built once; classify_tokens hands these out.
+_LABELS = {
+    (kind, redundant, concrete): TokenLabel(kind, redundant, concrete)
+    for kind in LabelKind
+    for redundant in (False, True)
+    for concrete in (False, True)
+}
+_FUNCTION_LABEL = _LABELS[LabelKind.FUNCTION, False, False]
+
+
 class DensityClass(Enum):
     DILUTED = "diluted"
     STANDARD = "standard"
@@ -147,9 +157,9 @@ def classify_tokens(
     """
     lex = lex if lex is not None else default_lexicon()
     tokens = seq.tokens
-    by_match: dict[int, LabelKind] = {}
+    by_match: dict[int, TokenLabel] = {}
     for m in match_phrases(seq, lex):
-        label = _CATEGORY_LABELS[m.category]
+        label = _LABELS[_CATEGORY_LABELS[m.category], False, False]
         for i in range(m.start, m.end):
             by_match[i] = label
 
@@ -157,21 +167,20 @@ def classify_tokens(
     suffixes = lex.phrases(Category.NOMINALIZATION_SUFFIX)
     seen_stems: set[str] = set()
     labels: list[TokenLabel] = []
-    for idx, tok in enumerate(tokens):
-        if tok.kind is TokenKind.PUNCTUATION:
-            labels.append(TokenLabel(LabelKind.FUNCTION))
+    for idx, (tok, lower) in enumerate(zip(tokens, seq.lowered)):
+        if lower is None:
+            labels.append(_FUNCTION_LABEL)
             continue
         matched = by_match.get(idx)
         if matched is not None:
-            labels.append(TokenLabel(matched))
+            labels.append(matched)
             continue
-        lower = tok.text.lower()
         if (
             tok.kind is TokenKind.WORD
             and lower in config.function_words
             and not _is_enum_label(tokens, idx)
         ):
-            labels.append(TokenLabel(LabelKind.FUNCTION))
+            labels.append(_FUNCTION_LABEL)
             continue
 
         redundant = False
@@ -183,7 +192,7 @@ def classify_tokens(
         concrete = not redundant and _is_concrete(
             tok, idx, tokens, lower, units, suffixes, config
         )
-        labels.append(TokenLabel(LabelKind.SEMANTIC, redundant=redundant, concrete=concrete))
+        labels.append(_LABELS[LabelKind.SEMANTIC, redundant, concrete])
     return tuple(labels)
 
 

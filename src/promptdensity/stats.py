@@ -128,7 +128,11 @@ class AccuracyRow:
     benchmark: str
     accuracy: dict[str, float]  # condition -> percent
     delta: float | None  # ultra_dense minus diluted, percentage points
-    significant: bool
+    verdict: Verdict | None  # paired test of ultra_dense vs diluted, if any pairs
+
+    @property
+    def significant(self) -> bool:
+        return self.verdict in (Verdict.WIN, Verdict.LOSS)
 
 
 def pair_up(records: list, cond_a: str, cond_b: str) -> list[PairedOutcome]:
@@ -150,8 +154,8 @@ def accuracy_table(
     records: list, threshold: float = DEFAULT_THRESHOLD
 ) -> list[AccuracyRow]:
     """Per-benchmark accuracy by condition, the ultra-dense minus diluted
-    delta, and a significance star from the paired test. Ends with an
-    Overall row pooling every benchmark."""
+    delta, and the paired test's verdict. Ends with an Overall row pooling
+    every benchmark."""
     if not records:
         raise PromptDensityError("no records to aggregate")
     benchmarks = sorted({r.benchmark for r in records})
@@ -164,14 +168,13 @@ def accuracy_table(
         for condition in sorted({r.condition for r in group}):
             cell = [r for r in group if r.condition == condition]
             acc[condition] = 100.0 * sum(r.correct for r in cell) / len(cell)
-        delta = None
-        significant = False
+        delta = verdict = None
         if "ultra_dense" in acc and "diluted" in acc:
             delta = acc["ultra_dense"] - acc["diluted"]
             pairs = pair_up(group, "ultra_dense", "diluted")
             if pairs:
-                significant = mcnemar(pairs, threshold).verdict is Verdict.WIN
-        rows.append(AccuracyRow(name, acc, delta, significant))
+                verdict = mcnemar(pairs, threshold).verdict
+        rows.append(AccuracyRow(name, acc, delta, verdict))
     return rows
 
 
@@ -186,8 +189,12 @@ def format_table(header: list[str], body: list[list[str]], csv: bool = False) ->
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(cells, widths)) for cells in rows)
 
 
+_SIG_MARKS = {Verdict.WIN: "*", Verdict.LOSS: "-*"}
+
+
 def format_accuracy_table(rows: list[AccuracyRow], csv: bool = False) -> str:
-    """Render rows in the fixed column order, aligned text or CSV."""
+    """Render rows in the fixed column order, aligned text or CSV; ``sig``
+    marks a significant win ``*`` and a significant loss ``-*``."""
     body: list[list[str]] = []
     for row in rows:
         cells = [row.benchmark]
@@ -195,7 +202,7 @@ def format_accuracy_table(rows: list[AccuracyRow], csv: bool = False) -> str:
             value = row.accuracy.get(condition)
             cells.append("" if value is None else f"{value:.1f}")
         cells.append("" if row.delta is None else f"{row.delta:+.1f}")
-        cells.append("*" if row.significant else "")
+        cells.append(_SIG_MARKS.get(row.verdict, ""))
         body.append(cells)
     return format_table(list(TABLE_COLUMNS), body, csv)
 

@@ -11,6 +11,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 
 class TokenKind(Enum):
@@ -45,6 +46,13 @@ class TokenSequence:
     def word_count(self) -> int:
         return sum(1 for t in self.tokens if t.is_word_like)
 
+    @cached_property
+    def lowered(self) -> tuple[str | None, ...]:
+        """Each token's lowercased text, None for punctuation; built once."""
+        return tuple(
+            None if t.kind is TokenKind.PUNCTUATION else t.text.lower() for t in self.tokens
+        )
+
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -58,7 +66,8 @@ _NUMBER_RE = re.compile(r"[+\-−]?\d[\d,]*(?:\.\d+)?")
 
 
 def _is_punct_char(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
+    # Letters and digits are never in category P, so skip the lookup.
+    return not ch.isalnum() and unicodedata.category(ch).startswith("P")
 
 
 def _is_number(text: str) -> bool:
@@ -68,6 +77,8 @@ def _is_number(text: str) -> bool:
 
 
 def _classify_core(text: str) -> TokenKind:
+    if text.isalpha():  # letters are never digits: not a number, and alnum
+        return TokenKind.WORD
     if _is_number(text):
         return TokenKind.NUMBER
     if not any(ch.isalnum() for ch in text):
@@ -85,13 +96,16 @@ def tokenize(text: str) -> TokenSequence:
     Spans are byte offsets into the UTF-8 encoding of ``text``.
     """
     tokens: list[Token] = []
-    # Prefix sums of the UTF-8 byte length give char -> byte offsets.
-    byte_at = [0] * (len(text) + 1)
-    for i, ch in enumerate(text):
-        byte_at[i + 1] = byte_at[i] + len(ch.encode("utf-8"))
+    # Byte offsets come from a cursor at the last token edge: each token
+    # encodes only the gap before it and its own text.
+    char_at = byte_at = 0
 
     def emit(cstart: int, cend: int, kind: TokenKind) -> None:
-        tokens.append(Token(text[cstart:cend], byte_at[cstart], byte_at[cend], kind))
+        nonlocal char_at, byte_at
+        piece = text[cstart:cend]
+        start = byte_at + len(text[char_at:cstart].encode("utf-8"))
+        char_at, byte_at = cend, start + len(piece.encode("utf-8"))
+        tokens.append(Token(piece, start, byte_at, kind))
 
     for m in _CHUNK_RE.finditer(text):
         lo, hi = m.start(), m.end()

@@ -188,6 +188,43 @@ def test_analyze_csv_stable(results_file, capsys):
     assert out1.splitlines()[0] == "benchmark,diluted,standard,dense,delta,sig"
 
 
+def test_analyze_json_reports_significant_loss(tmp_path, capsys):
+    records = [
+        {"model": "m", "benchmark": "b", "item_id": f"i{i}", "condition": condition,
+         "run": 0, "correct": condition == "diluted" or i < 10, "response": "",
+         "latency_ms": 1.0, "output_tokens": 1, "sde": 0.5, "timestamp": "t"}
+        for i in range(60)
+        for condition in ("diluted", "ultra_dense")
+    ]
+    path = tmp_path / "loss.json"
+    path.write_text(json.dumps(records))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    row = json.loads(out)["accuracy"][0]
+    assert row["delta"] == -83.33
+    assert row["significant"] is True
+    assert row["verdict"] == "loss"
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert out.splitlines()[1].split()[-2:] == ["-83.3", "-*"]
+
+
+def test_validate_escapes_unprintable_item_id(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"items": [{"id": "a\nb", "benchmark": "x"}]}))
+    code, _, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert "'a\\nb': answer_format must be one of" in err
+
+
+def test_validate_printable_item_id_unchanged(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"items": [{"id": "q 1 é", "benchmark": "x"}]}))
+    code, _, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert "q 1 é: answer_format must be one of" in err
+
+
 def test_missing_file_domain_error(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/results.json")
     assert code == 1

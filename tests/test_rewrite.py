@@ -17,7 +17,7 @@ from promptdensity.rewrite import (
     pad,
     parse_templates,
 )
-from promptdensity.scoring import LabelKind, analyze, classify_tokens
+from promptdensity.scoring import DEFAULT_CONFIG, LabelKind, analyze, classify_tokens
 from promptdensity.tokens import TokenKind, tokenize
 
 
@@ -194,6 +194,81 @@ def test_lint_edits_open_densify(text):
 
 
 # ---------------------------------------------------------------------------
+# Rewrite guarantees as properties over any text
+# ---------------------------------------------------------------------------
+
+# Parts that reach every rule (noise phrases, rule words, question
+# scaffolds, task verbs, format instructions), plus arbitrary text.
+_ANY_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(
+            _NOISE_PHRASES
+            + _RULE_WORDS
+            + _PLAIN_WORDS
+            + [phrase for phrase, _ in wordlists.QUESTION_PATTERNS]
+            + sorted(wordlists.PROMPT_VERBS)
+            + ["Reply with one integer.", "Answer:", "respond in this format", "The answer is"]
+        ),
+        st.text(min_size=1, max_size=6),
+    ),
+    min_size=1,
+    max_size=25,
+).map(" ".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ANY_TEXT)
+def test_densify_reaches_fixed_point(text):
+    try:
+        out = densify(text).output
+    except PromptDensityError:
+        assume(False)
+    assert densify(out).output == out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ANY_TEXT, st.integers(0, 30))
+def test_pad_keeps_score(text, groups):
+    try:
+        before = analyze(text).sde
+    except PromptDensityError:
+        assume(False)
+    assert abs(analyze(pad(text, groups)).sde - before) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ANY_TEXT)
+def test_instruction_last_idempotent_on_any_text(text):
+    once = instruction_last(text).output
+    assert instruction_last(once).output == once
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ANY_TEXT)
+def test_lint_spans_inside_text_and_disjoint(text):
+    try:
+        diags = lint(text)
+    except PromptDensityError:
+        assume(False)
+    size = len(text.encode("utf-8"))
+    assert all(0 <= d.start < d.end <= size for d in diags)
+    assert all(a.end <= b.start for a, b in zip(diags, diags[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ANY_TEXT, st.integers(0, 100))
+def test_dilute_never_raises_score_from_diluted_below_up(text, seed):
+    # A text already near 0 can score higher once diluted; one at the
+    # diluted band's edge or above never does.
+    try:
+        before = analyze(text).sde
+    except PromptDensityError:
+        assume(False)
+    if before >= DEFAULT_CONFIG.diluted_below:
+        assert analyze(dilute(text, seed=seed)).sde <= before
+
+
+# ---------------------------------------------------------------------------
 # dilute
 # ---------------------------------------------------------------------------
 
@@ -313,6 +388,29 @@ def test_gradient_tokenizes_only_to_analyze(corpus, monkeypatch):
     monkeypatch.setattr("promptdensity.rewrite.tokenize", no_tokenize)
     for text in corpus[:4]:
         assert gradient_variants(text, TARGETS, seed=3)
+
+
+def test_ladder_analyzes_densified_base_once(corpus, monkeypatch):
+    # The ladder starts from densify's own last analysis: its calls are
+    # densify's, then one per new ladder text, and the base is not analysed
+    # a second time.
+    calls: list[str] = []
+
+    def counting(text, *args, **kwargs):
+        calls.append(text)
+        return analyze(text, *args, **kwargs)
+
+    monkeypatch.setattr("promptdensity.rewrite.analyze", counting)
+    for text in corpus[:4]:
+        calls.clear()
+        base = densify(text).output
+        densify_calls = list(calls)
+        calls.clear()
+        gradient_variants(text, TARGETS, seed=3)
+        assert calls[: len(densify_calls)] == densify_calls
+        ladder = calls[len(densify_calls) :]
+        assert base not in ladder
+        assert len(calls) == len(set(calls))
 
 
 def test_gradient_rejects_bad_targets():

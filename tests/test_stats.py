@@ -217,6 +217,28 @@ def test_identical_cells_no_stars():
     assert not rows[0].significant
 
 
+def test_significant_loss_is_marked():
+    # diluted is always right, ultra_dense right on 10 of 60 items.
+    rows = accuracy_table(
+        _records(
+            [("b1", "ultra_dense", [True] * 10 + [False] * 50), ("b1", "diluted", [True] * 60)]
+        )
+    )
+    assert rows[0].verdict is Verdict.LOSS
+    assert rows[0].significant
+    assert format_accuracy_table(rows, csv=True).splitlines()[1] == "b1,100.0,,16.7,-83.3,-*"
+
+
+def test_significant_win_keeps_star():
+    rows = accuracy_table(
+        _records(
+            [("b1", "ultra_dense", [True] * 60), ("b1", "diluted", [True] * 10 + [False] * 50)]
+        )
+    )
+    assert rows[0].verdict is Verdict.WIN
+    assert format_accuracy_table(rows, csv=True).splitlines()[1] == "b1,16.7,,100.0,+83.3,*"
+
+
 def test_table_formatting_column_order():
     rows = accuracy_table(
         _records(

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
+import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from promptdensity.tokens import TokenKind, tokenize, word_count
+from promptdensity.tokens import Token, TokenKind, TokenSequence, tokenize, word_count
 
 
 def kinds(text):
@@ -133,3 +138,97 @@ def test_arc_diluted_word_count(arc_variants):
     # The printed diluted text has 91 whitespace words; punctuation tokens
     # are split off and excluded from the count.
     assert word_count(tokenize(arc_variants["diluted"])) == 91
+
+
+# ---------------------------------------------------------------------------
+# The shortcuts are exact: the earlier tokenizer, kept verbatim as an oracle
+# ---------------------------------------------------------------------------
+
+_CHUNK_RE = re.compile(r"\S+")
+# Digits with optional sign, thousands groups, and one decimal point.
+_NUMBER_RE = re.compile(r"[+\-−]?\d[\d,]*(?:\.\d+)?")
+
+
+def _is_punct_char(ch: str) -> bool:
+    return unicodedata.category(ch).startswith("P")
+
+
+def _is_number(text: str) -> bool:
+    if _NUMBER_RE.fullmatch(text):
+        return True
+    return all(ch.isdigit() for ch in text)
+
+
+def _classify_core(text: str) -> TokenKind:
+    if _is_number(text):
+        return TokenKind.NUMBER
+    if not any(ch.isalnum() for ch in text):
+        return TokenKind.MATH_SYMBOL
+    return TokenKind.WORD
+
+
+def _oracle_tokenize(text: str) -> TokenSequence:
+    """Split text into span-tracked tokens.
+
+    Splits on Unicode whitespace; punctuation runs at the edges of a chunk
+    become PUNCTUATION tokens; digit chunks become NUMBER; symbol-only
+    chunks (operators, integral signs, ...) become MATH_SYMBOL; everything
+    else is a WORD. Deterministic, and empty input yields an empty sequence.
+    Spans are byte offsets into the UTF-8 encoding of ``text``.
+    """
+    tokens: list[Token] = []
+    # Prefix sums of the UTF-8 byte length give char -> byte offsets.
+    byte_at = [0] * (len(text) + 1)
+    for i, ch in enumerate(text):
+        byte_at[i + 1] = byte_at[i] + len(ch.encode("utf-8"))
+
+    def emit(cstart: int, cend: int, kind: TokenKind) -> None:
+        tokens.append(Token(text[cstart:cend], byte_at[cstart], byte_at[cend], kind))
+
+    for m in _CHUNK_RE.finditer(text):
+        lo, hi = m.start(), m.end()
+        # Leading punctuation run.
+        lead = lo
+        while lead < hi and _is_punct_char(text[lead]):
+            lead += 1
+        # Trailing punctuation run (never past the leading run).
+        trail = hi
+        while trail > lead and _is_punct_char(text[trail - 1]):
+            trail -= 1
+        if lead > lo:
+            emit(lo, lead, TokenKind.PUNCTUATION)
+        if trail > lead:
+            emit(lead, trail, _classify_core(text[lead:trail]))
+        if hi > trail:
+            emit(trail, hi, TokenKind.PUNCTUATION)
+    return TokenSequence(source=text, tokens=tuple(tokens))
+
+
+# Any code point, plus the characters that sit at token edges.
+_EDGY_TEXT = st.text(
+    st.one_of(
+        st.characters(), st.sampled_from(" \t\n.,;:!?()'\"-+−/*<>…«»¿1234567890²₂Ⅻ٣éß漢∫")
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EDGY_TEXT)
+def test_tokenize_equals_earlier_tokenizer(text):
+    assert tokenize(text) == _oracle_tokenize(text)
+
+
+def test_shortcuts_hold_for_every_code_point():
+    # _classify_core returns WORD for letters without asking _is_number,
+    # and _is_punct_char asks for the category only of non-alphanumerics.
+    for cp in range(sys.maxunicode + 1):
+        ch = chr(cp)
+        if ch.isalpha():
+            assert not _is_number(ch) and not _NUMBER_RE.match(ch), hex(cp)
+        if ch.isalnum():
+            assert not unicodedata.category(ch).startswith("P"), hex(cp)
+
+
+def test_lowered_is_lowercase_text_or_none():
+    seq = tokenize("Which ONE, of «Σ» 2?")
+    assert seq.lowered == ("which", "one", None, "of", None, "σ", None, "2", None)
