@@ -42,11 +42,7 @@ from .rewrite import (
 )
 from .scoring import DEFAULT_CONFIG, ScoreConfig, analyze
 from .stats import (
-    DEFAULT_THRESHOLD,
-    accuracy_table,
-    format_accuracy_table,
-    mcnemar,
-    pair_up,
+    DEFAULT_THRESHOLD, accuracy_table, format_accuracy_table, paired_test, record_index,
 )
 
 SCHEMA_VERSION = "1"
@@ -364,10 +360,9 @@ def _cmd_mcnemar(args) -> int:
         cond_a, cond_b = args.pair.split(":", 1)
     except ValueError:
         raise PromptDensityError(f"--pair must look like A:B, got {args.pair!r}") from None
-    pairs = pair_up(records, cond_a, cond_b)
-    if not pairs:
+    result = paired_test(record_index(records).values(), cond_a, cond_b, args.threshold)
+    if result is None:
         raise PromptDensityError(f"no paired records for {cond_a!r} vs {cond_b!r}")
-    result = mcnemar(pairs, threshold=args.threshold)
     if args.json:
         _emit({"pair": [cond_a, cond_b], **result.to_report()})
     else:

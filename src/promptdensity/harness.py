@@ -57,7 +57,10 @@ class BenchmarkItem:
     variants: dict[str, str]
 
 
-# The fields of a results record: the JSON type each needs, and its name.
+_NUMBER = (int, float)  # a JSON number, read into a float
+# The fields of a results record, in file order and in TrialRecord's field
+# order: the JSON type each needs, and its name. An optional "error" string
+# follows them.
 _RECORD_FIELDS = {
     "model": (str, "a string"),
     "benchmark": (str, "a string"),
@@ -66,9 +69,9 @@ _RECORD_FIELDS = {
     "run": (int, "an integer"),
     "correct": (bool, "true or false"),
     "response": (str, "a string"),
-    "latency_ms": ((int, float), "a number"),
+    "latency_ms": (_NUMBER, "a number"),
     "output_tokens": (int, "an integer"),
-    "sde": ((int, float), "a number"),
+    "sde": (_NUMBER, "a number"),
     "timestamp": (str, "a string"),
 }
 
@@ -93,19 +96,8 @@ class TrialRecord:
         return (self.model, self.benchmark, self.item_id, self.condition, self.run)
 
     def to_json(self) -> dict:
-        record = {
-            "model": self.model,
-            "benchmark": self.benchmark,
-            "item_id": self.item_id,
-            "condition": self.condition,
-            "run": self.run,
-            "correct": self.correct,
-            "response": self.response,
-            "latency_ms": self.latency_ms,
-            "output_tokens": self.output_tokens,
-            "sde": self.sde,
-            "timestamp": self.timestamp,
-        }
+        fields = vars(self)
+        record = {name: fields[name] for name in _RECORD_FIELDS}
         if self.error is not None:
             record["error"] = self.error
         return record
@@ -114,30 +106,19 @@ class TrialRecord:
     def from_json(cls, data: dict) -> "TrialRecord":
         if not isinstance(data, dict):
             raise PromptDensityError("malformed trial record: not a JSON object")
+        values = []
         for name, (kind, described) in _RECORD_FIELDS.items():
-            if name not in data:
-                raise PromptDensityError(f"trial record lacks field {name!r}")
-            value = data[name]
+            value = data.get(name)
             # JSON true and false are Python ints, but not record numbers.
             if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                if name not in data:
+                    raise PromptDensityError(f"trial record lacks field {name!r}")
                 raise PromptDensityError(f"malformed trial record: {name!r} must be {described}")
+            values.append(float(value) if kind is _NUMBER else value)
         error = data.get("error")
         if error is not None and not isinstance(error, str):
             raise PromptDensityError("malformed trial record: 'error' must be a string or null")
-        return cls(
-            model=data["model"],
-            benchmark=data["benchmark"],
-            item_id=data["item_id"],
-            condition=data["condition"],
-            run=data["run"],
-            correct=data["correct"],
-            response=data["response"],
-            latency_ms=float(data["latency_ms"]),
-            output_tokens=data["output_tokens"],
-            sde=float(data["sde"]),
-            timestamp=data["timestamp"],
-            error=error,
-        )
+        return cls(*values, error)
 
 
 @dataclass(frozen=True)

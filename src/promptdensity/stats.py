@@ -1,6 +1,9 @@
 """Paired significance testing, accuracy aggregation, and the density
 ablation regression.
 
+``record_index`` is the one grouping of trial records: every accuracy
+figure and paired test below is read from it.
+
 McNemar's test runs on discordant pair counts: exact two-sided binomial
 for small counts, continuity-corrected chi-square otherwise. The
 regression fits correct ~ score + benchmark fixed effects by iteratively
@@ -79,7 +82,10 @@ def _exact_binomial_p(b: int, c: int) -> float:
 
 
 def mcnemar_counts(b: int, c: int, threshold: float = DEFAULT_THRESHOLD) -> McNemarResult:
-    """McNemar test from the discordant counts alone."""
+    """McNemar test from the discordant counts alone, at a significance
+    level ``threshold`` in (0, 1]."""
+    if not 0.0 < threshold <= 1.0:
+        raise PromptDensityError(f"threshold must lie in (0, 1], got {threshold}")
     if b < 0 or c < 0:
         raise PromptDensityError("counts must be non-negative")
     n = b + c
@@ -135,46 +141,66 @@ class AccuracyRow:
         return self.verdict in (Verdict.WIN, Verdict.LOSS)
 
 
-def pair_up(records: list, cond_a: str, cond_b: str) -> list[PairedOutcome]:
-    """Outcomes of the same (model, benchmark, item, run) under both conditions."""
-    by_key: dict[tuple, dict[str, bool]] = {}
+def record_index(records: list) -> dict:
+    """Records grouped in one pass as (model, benchmark) -> item ->
+    condition -> {run: correct}; a repeated record key is an error."""
+    index: dict = {}
     for r in records:
-        key = (r.model, r.benchmark, r.item_id, r.run)
-        by_key.setdefault(key, {})[r.condition] = r.correct
-    pairs = []
-    for (model, bench, item, run), conds in sorted(by_key.items()):
-        if cond_a in conds and cond_b in conds:
-            pairs.append(
-                PairedOutcome(f"{model}/{bench}/{item}", run, conds[cond_a], conds[cond_b])
-            )
-    return pairs
+        item = index.setdefault((r.model, r.benchmark), {}).setdefault(r.item_id, {})
+        runs = item.setdefault(r.condition, {})
+        if r.run in runs:
+            raise PromptDensityError(f"duplicate record: {r.model}/{r.benchmark}/{r.item_id} "
+                                     f"{r.condition} run {r.run}")
+        runs[r.run] = r.correct
+    return index
 
 
-def accuracy_table(
-    records: list, threshold: float = DEFAULT_THRESHOLD
-) -> list[AccuracyRow]:
+def paired_test(cells, cond_a: str, cond_b: str,
+                threshold: float = DEFAULT_THRESHOLD) -> McNemarResult | None:
+    """McNemar test over every (item, run) of the ``record_index`` cells
+    with an outcome under both conditions, or None if there is none; A wins
+    count in b."""
+    b = c = pairs = 0
+    for cell in cells:
+        for conditions in cell.values():
+            if cond_a in conditions and cond_b in conditions:
+                runs_a, runs_b = conditions[cond_a], conditions[cond_b]
+                for run in runs_a.keys() & runs_b.keys():
+                    pairs += 1
+                    b += runs_a[run] and not runs_b[run]
+                    c += runs_b[run] and not runs_a[run]
+    if not pairs:
+        return None
+    return replace(mcnemar_counts(b, c, threshold), n_concordant=pairs - b - c)
+
+
+def accuracy_table(records: list, threshold: float = DEFAULT_THRESHOLD) -> list[AccuracyRow]:
     """Per-benchmark accuracy by condition, the ultra-dense minus diluted
     delta, and the paired test's verdict. Ends with an Overall row pooling
     every benchmark."""
-    if not records:
+    index = record_index(records)
+    if not index:
         raise PromptDensityError("no records to aggregate")
-    benchmarks = sorted({r.benchmark for r in records})
+    benchmarks = sorted({benchmark for _, benchmark in index})
+    # A list of (name, cells), as a benchmark may itself be named Overall.
+    groups = [(b, [cell for (_, name), cell in index.items() if name == b]) for b in benchmarks]
+    if len(groups) > 1:
+        groups.append(("Overall", list(index.values())))
     rows: list[AccuracyRow] = []
-    groups = [(b, [r for r in records if r.benchmark == b]) for b in benchmarks]
-    if len(benchmarks) > 1:
-        groups.append(("Overall", list(records)))
-    for name, group in groups:
-        acc: dict[str, float] = {}
-        for condition in sorted({r.condition for r in group}):
-            cell = [r for r in group if r.condition == condition]
-            acc[condition] = 100.0 * sum(r.correct for r in cell) / len(cell)
-        delta = verdict = None
+    for name, cells in groups:
+        tallies: dict[str, list[int]] = {}  # condition -> [correct, trials]
+        for cell in cells:
+            for conditions in cell.values():
+                for condition, runs in conditions.items():
+                    tally = tallies.setdefault(condition, [0, 0])
+                    tally[0] += sum(runs.values())
+                    tally[1] += len(runs)
+        acc = {cond: 100.0 * correct / n for cond, (correct, n) in sorted(tallies.items())}
+        delta = None
         if "ultra_dense" in acc and "diluted" in acc:
             delta = acc["ultra_dense"] - acc["diluted"]
-            pairs = pair_up(group, "ultra_dense", "diluted")
-            if pairs:
-                verdict = mcnemar(pairs, threshold).verdict
-        rows.append(AccuracyRow(name, acc, delta, verdict))
+        result = paired_test(cells, "ultra_dense", "diluted", threshold)
+        rows.append(AccuracyRow(name, acc, delta, None if result is None else result.verdict))
     return rows
 
 
@@ -230,13 +256,10 @@ def wins_losses(
 ) -> WinLossSummary:
     """Per (model, benchmark) paired-test verdicts for cond_a vs cond_b."""
     cells: list[CellVerdict] = []
-    keys = sorted({(r.model, r.benchmark) for r in records})
-    for model, benchmark in keys:
-        group = [r for r in records if r.model == model and r.benchmark == benchmark]
-        pairs = pair_up(group, cond_a, cond_b)
-        if not pairs:
-            continue
-        cells.append(CellVerdict(model, benchmark, mcnemar(pairs, threshold)))
+    for (model, benchmark), cell in sorted(record_index(records).items()):
+        result = paired_test([cell], cond_a, cond_b, threshold)
+        if result is not None:
+            cells.append(CellVerdict(model, benchmark, result))
     wins = sum(1 for c in cells if c.result.verdict is Verdict.WIN)
     losses = sum(1 for c in cells if c.result.verdict is Verdict.LOSS)
     return WinLossSummary(wins, losses, len(cells) - wins - losses, tuple(cells))

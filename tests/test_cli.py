@@ -172,6 +172,15 @@ def test_mcnemar_bad_pair_flag(results_file, capsys):
     assert "A:B" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "mcnemar"])
+@pytest.mark.parametrize("threshold", ["nan", "0", "-1", "2"])
+def test_threshold_outside_unit_interval_exits_1(results_file, capsys, command, threshold):
+    code, out, err = run_cli(capsys, command, str(results_file), "--threshold", threshold)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: threshold must lie in (0, 1]") and err.count("\n") == 1
+
+
 def test_analyze_table(results_file, capsys):
     code, out, _ = run_cli(capsys, "analyze", str(results_file))
     assert code == 0

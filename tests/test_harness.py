@@ -331,6 +331,62 @@ def test_results_roundtrip(tmp_path):
     }
 
 
+def _earlier_to_json(self) -> dict:
+    # TrialRecord.to_json as it was before the field table wrote it.
+    record = {
+        "model": self.model,
+        "benchmark": self.benchmark,
+        "item_id": self.item_id,
+        "condition": self.condition,
+        "run": self.run,
+        "correct": self.correct,
+        "response": self.response,
+        "latency_ms": self.latency_ms,
+        "output_tokens": self.output_tokens,
+        "sde": self.sde,
+        "timestamp": self.timestamp,
+    }
+    if self.error is not None:
+        record["error"] = self.error
+    return record
+
+
+_SHORT_TEXT = st.text(max_size=6)
+_ANY_RECORD = st.builds(
+    TrialRecord,
+    model=_SHORT_TEXT,
+    benchmark=_SHORT_TEXT,
+    item_id=_SHORT_TEXT,
+    condition=_SHORT_TEXT,
+    run=st.integers(0, 10**6),
+    correct=st.booleans(),
+    response=st.text(max_size=30),
+    latency_ms=st.integers(0, 10**6).map(float) | st.floats(0, 1e6),
+    output_tokens=st.integers(0, 10**6),
+    sde=st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+    timestamp=_SHORT_TEXT,
+    error=st.none() | st.text(max_size=20),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ANY_RECORD)
+def test_record_json_round_trip(record):
+    data = record.to_json()
+    # Same keys, order and values as before, so results-file and .partial
+    # lines stay byte-identical.
+    assert list(data.items()) == list(_earlier_to_json(record).items())
+    line = json.dumps(data, ensure_ascii=False)
+    assert line == json.dumps(_earlier_to_json(record), ensure_ascii=False)
+    assert TrialRecord.from_json(data) == record
+    assert TrialRecord.from_json(json.loads(line)) == record
+    # A whole number written as a JSON integer is read back as a float.
+    whole = {**data, "latency_ms": round(record.latency_ms), "sde": round(record.sde)}
+    back = TrialRecord.from_json(json.loads(json.dumps(whole)))
+    assert type(back.latency_ms) is float and back.latency_ms == round(record.latency_ms)
+    assert type(back.sde) is float and back.sde == round(record.sde)
+
+
 def test_duplicate_keys_rejected_on_load(tmp_path):
     record = TrialRecord("m", "b", "i", "standard", 0, True, "x", 1.0, 1, 0.5, "t")
     path = tmp_path / "dup.json"

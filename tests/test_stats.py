@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,13 +17,27 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import promptdensity
+from promptdensity.cli import main
 from promptdensity.errors import PromptDensityError
+from promptdensity.harness import (
+    BackendDescriptor,
+    BackendKind,
+    TrialRecord,
+    build_backend,
+    make_synthetic_manifest,
+    run_experiment,
+)
 from promptdensity.stats import (
     CANONICAL_CONDITIONS,
+    DEFAULT_THRESHOLD,
+    EXACT_BRANCH_LIMIT,
+    AccuracyRow,
+    CellVerdict,
     McNemarMethod,
     PairedOutcome,
     RegressionFit,
     Verdict,
+    WinLossSummary,
     accuracy_table,
     chi2_sf_1df,
     format_accuracy_table,
@@ -27,6 +45,8 @@ from promptdensity.stats import (
     logistic_fit,
     mcnemar,
     mcnemar_counts,
+    paired_test,
+    record_index,
     wins_losses,
 )
 
@@ -169,6 +189,33 @@ def test_mcnemar_rejects_empty_and_duplicates():
         mcnemar(dup)
 
 
+def test_p_equal_to_threshold_is_a_tie():
+    # Exact p for b=2, c=0 is 2 * (1/2)**2 = 0.5: a win needs p below the level.
+    result = mcnemar_counts(2, 0, threshold=0.5)
+    assert result.p_value == 0.5
+    assert result.verdict is Verdict.TIE
+
+
+def test_exact_branch_ends_below_limit():
+    # Below EXACT_BRANCH_LIMIT discordant pairs the test is exact; from it on,
+    # chi-square.
+    assert EXACT_BRANCH_LIMIT == 25
+    for b in range(25):
+        assert mcnemar_counts(b, 24 - b).method is McNemarMethod.EXACT_BINOMIAL
+    for b in range(26):
+        assert mcnemar_counts(b, 25 - b).method is McNemarMethod.CHI_SQUARE_CC
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.5, -1.0, math.nan, math.inf])
+def test_threshold_outside_unit_interval_rejected(threshold):
+    with pytest.raises(PromptDensityError, match=r"threshold must lie in \(0, 1\]"):
+        mcnemar_counts(3, 1, threshold=threshold)
+
+
+def test_threshold_of_one_accepted():
+    assert mcnemar_counts(3, 1, threshold=1.0).verdict is Verdict.WIN
+
+
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
@@ -272,6 +319,191 @@ def test_wins_losses_single_cell():
     ]
     summary = wins_losses(records)
     assert len(summary.cells) == 1
+
+
+def test_two_benchmark_table_ends_with_overall_row():
+    items = make_synthetic_manifest(40, seed=2)
+    records = run_experiment(items, [build_backend(BackendDescriptor(BackendKind.MOCK, "mock-1"))])
+    assert format_accuracy_table(accuracy_table(records), csv=True) == (
+        "benchmark,diluted,standard,dense,delta,sig\n"
+        "arithmetic,15.6,53.3,80.0,+64.4,*\n"
+        "choice,26.7,83.3,76.7,+50.0,*\n"
+        "Overall,18.3,60.8,79.2,+60.8,*"
+    )
+
+
+def test_record_index_groups_by_cell_item_condition_run():
+    records = [
+        FakeRecord("m", "b", "i0", "diluted", 1, True),
+        FakeRecord("m", "b", "i0", "diluted", 0, False),
+        FakeRecord("m", "c", "i0", "standard", 0, True),
+    ]
+    assert record_index(records) == {
+        ("m", "b"): {"i0": {"diluted": {1: True, 0: False}}},
+        ("m", "c"): {"i0": {"standard": {0: True}}},
+    }
+
+
+def test_record_index_rejects_a_repeated_key():
+    records = [FakeRecord("m", "b", "i0", "diluted", 0, True)] * 2
+    with pytest.raises(PromptDensityError, match="duplicate record: m/b/i0 diluted run 0"):
+        record_index(records)
+
+
+def test_paired_test_pairs_only_runs_under_both_conditions():
+    records = [
+        FakeRecord("m", "b", "i0", "ultra_dense", 0, True),
+        FakeRecord("m", "b", "i0", "diluted", 0, False),
+        FakeRecord("m", "b", "i0", "ultra_dense", 1, True),
+        FakeRecord("m", "b", "i1", "diluted", 0, True),
+    ]
+    cells = record_index(records).values()
+    result = paired_test(cells, "ultra_dense", "diluted")
+    assert (result.b, result.c, result.n_concordant) == (1, 0, 0)
+    assert paired_test(cells, "ultra_dense", "standard") is None
+
+
+# ---------------------------------------------------------------------------
+# The record index gives what the per-group filters gave: the earlier
+# pair_up, accuracy_table and wins_losses, kept verbatim as an oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_pair_up(records: list, cond_a: str, cond_b: str) -> list[PairedOutcome]:
+    """Outcomes of the same (model, benchmark, item, run) under both conditions."""
+    by_key: dict[tuple, dict[str, bool]] = {}
+    for r in records:
+        key = (r.model, r.benchmark, r.item_id, r.run)
+        by_key.setdefault(key, {})[r.condition] = r.correct
+    pairs = []
+    for (model, bench, item, run), conds in sorted(by_key.items()):
+        if cond_a in conds and cond_b in conds:
+            pairs.append(
+                PairedOutcome(f"{model}/{bench}/{item}", run, conds[cond_a], conds[cond_b])
+            )
+    return pairs
+
+
+def _oracle_accuracy_table(
+    records: list, threshold: float = DEFAULT_THRESHOLD
+) -> list[AccuracyRow]:
+    """Per-benchmark accuracy by condition, the ultra-dense minus diluted
+    delta, and the paired test's verdict. Ends with an Overall row pooling
+    every benchmark."""
+    if not records:
+        raise PromptDensityError("no records to aggregate")
+    benchmarks = sorted({r.benchmark for r in records})
+    rows: list[AccuracyRow] = []
+    groups = [(b, [r for r in records if r.benchmark == b]) for b in benchmarks]
+    if len(benchmarks) > 1:
+        groups.append(("Overall", list(records)))
+    for name, group in groups:
+        acc: dict[str, float] = {}
+        for condition in sorted({r.condition for r in group}):
+            cell = [r for r in group if r.condition == condition]
+            acc[condition] = 100.0 * sum(r.correct for r in cell) / len(cell)
+        delta = verdict = None
+        if "ultra_dense" in acc and "diluted" in acc:
+            delta = acc["ultra_dense"] - acc["diluted"]
+            pairs = _oracle_pair_up(group, "ultra_dense", "diluted")
+            if pairs:
+                verdict = mcnemar(pairs, threshold).verdict
+        rows.append(AccuracyRow(name, acc, delta, verdict))
+    return rows
+
+
+def _oracle_wins_losses(
+    records: list,
+    cond_a: str = "ultra_dense",
+    cond_b: str = "diluted",
+    threshold: float = DEFAULT_THRESHOLD,
+) -> WinLossSummary:
+    """Per (model, benchmark) paired-test verdicts for cond_a vs cond_b."""
+    cells: list[CellVerdict] = []
+    keys = sorted({(r.model, r.benchmark) for r in records})
+    for model, benchmark in keys:
+        group = [r for r in records if r.model == model and r.benchmark == benchmark]
+        pairs = _oracle_pair_up(group, cond_a, cond_b)
+        if not pairs:
+            continue
+        cells.append(CellVerdict(model, benchmark, mcnemar(pairs, threshold)))
+    wins = sum(1 for c in cells if c.result.verdict is Verdict.WIN)
+    losses = sum(1 for c in cells if c.result.verdict is Verdict.LOSS)
+    return WinLossSummary(wins, losses, len(cells) - wins - losses, tuple(cells))
+
+
+_KNOWN_CONDITIONS = ("diluted", "standard", "ultra_dense", "ultra_dense_ipe", "padding")
+_CONDITION_PAIRS = (("ultra_dense", "diluted"), ("ultra_dense_ipe", "diluted"), ("standard", "padding"))
+
+
+@st.composite
+def _record_sets(draw):
+    """Records with unique keys, in any order: 1-3 models, 1-3 benchmarks
+    (one may be named Overall), 1-3 runs, any subset of the known
+    conditions per item, any correct flags, and a run missing now and then."""
+    models = draw(st.lists(st.sampled_from(["m1", "m2", "m3"]), min_size=1, max_size=3, unique=True))
+    benchmarks = draw(
+        st.lists(st.sampled_from(["arc", "gsm", "Overall"]), min_size=1, max_size=3, unique=True)
+    )
+    runs = draw(st.integers(1, 3))
+    records = []
+    for model in models:
+        for benchmark in benchmarks:
+            for item in range(draw(st.integers(0, 3))):
+                for condition in sorted(draw(st.sets(st.sampled_from(_KNOWN_CONDITIONS)))):
+                    # One base-3 digit per run: 0 no record, 1 wrong, 2 correct.
+                    digits = draw(st.integers(0, 3**runs - 1))
+                    for run in range(runs):
+                        if digits // 3**run % 3:
+                            records.append(FakeRecord(model, benchmark, f"i{item}", condition,
+                                                      run, digits // 3**run % 3 == 2))
+    return draw(st.permutations(records))
+
+
+def _rows(rows: list[AccuracyRow]) -> list[tuple]:
+    # Every field, and the order of the condition columns, which --json keeps.
+    return [(r.benchmark, list(r.accuracy.items()), r.delta, r.verdict) for r in rows]
+
+
+def _cli_mcnemar_json(records: list, pair: str, threshold: float) -> tuple[int, str]:
+    trials = [
+        TrialRecord(r.model, r.benchmark, r.item_id, r.condition, r.run, r.correct,
+                    "", 1.0, 1, 0.5, "t").to_json()
+        for r in records
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "results.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(trials, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["mcnemar", path, "--pair", pair, "--threshold", repr(threshold), "--json"])
+    return code, out.getvalue() or err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=_record_sets(), threshold=st.sampled_from([0.05, 0.1, 0.5, 1.0]))
+def test_record_index_equals_per_group_filters(records, threshold):
+    if not records:
+        for table in (accuracy_table, _oracle_accuracy_table):
+            with pytest.raises(PromptDensityError, match="no records"):
+                table(records, threshold)
+    else:
+        assert _rows(accuracy_table(records, threshold)) == _rows(
+            _oracle_accuracy_table(records, threshold)
+        )
+    for cond_a, cond_b in _CONDITION_PAIRS:
+        assert wins_losses(records, cond_a, cond_b, threshold) == _oracle_wins_losses(
+            records, cond_a, cond_b, threshold
+        )
+    cond_a, cond_b = _CONDITION_PAIRS[0]
+    pairs = _oracle_pair_up(records, cond_a, cond_b)
+    code, output = _cli_mcnemar_json(records, f"{cond_a}:{cond_b}", threshold)
+    if not pairs:
+        assert (code, output) == (1, f"error: no paired records for {cond_a!r} vs {cond_b!r}\n")
+    else:
+        report = {"schema_version": "1", "pair": [cond_a, cond_b],
+                  **mcnemar(pairs, threshold).to_report()}
+        assert (code, json.loads(output)) == (0, report)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,240 @@
+"""Compare the CLI output of two source trees of promptdensity.
+
+    python tools/same_output.py PARENT_DIR CHANGE_DIR
+
+Each directory is the root of a checkout (it holds ``src/promptdensity``).
+The script builds one set of inputs with PARENT_DIR's code: the
+``tests/data`` fixtures, a 40-item synthetic manifest, and results files
+from mock runs, one of them with missing records and errored trials. It
+then runs the same matrix of ``promptdensity`` commands against each tree,
+each tree in its own Python subprocess: score, lint, densify, gradient,
+validate --strict, run (stdout, and --out with the results and .partial
+files), analyze (text, --csv, --json) and mcnemar at several thresholds
+and condition pairs. Timestamps and temporary paths are masked. It prints
+how many outputs are identical and how many differ, with the first
+differing lines of each difference, and exits 1 if any differ.
+
+Standard library only; it is not part of the test suite.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import difflib
+import io
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+
+SHOWN_LINES = 12  # lines of each difference printed
+TIMESTAMP_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(?:\.\d+)?(?:[+-]\d\d:\d\d|Z)?")
+THRESHOLDS = ("0.1", "0.05", "0.5", "1", "nan", "0", "2")
+PAIRS = ("ultra_dense:diluted", "diluted:ultra_dense", "standard:diluted",
+         "ultra_dense:standard", "ultra_dense:padding")
+TWO_MOCKS = [
+    {"kind": "mock", "model": "mock-a"},
+    {"kind": "mock", "model": "mock-b", "params": {"intercept": -1.0, "slope": 2.5}},
+]
+
+
+def _subprocess(tree: str, *args: str) -> None:
+    """Run this script with ``args`` under the promptdensity of ``tree``."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+    subprocess.run([sys.executable, os.path.abspath(__file__), *args], env=env, check=True)
+
+
+def _import_cli(tree: str):
+    import promptdensity.cli
+
+    expected = os.path.realpath(os.path.join(tree, "src"))
+    if not os.path.realpath(promptdensity.cli.__file__).startswith(expected + os.sep):
+        sys.exit(f"imported promptdensity from {promptdensity.cli.__file__}, not {expected}")
+    return promptdensity.cli
+
+
+def _call(cli, argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _write_json(path: str, document) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2, ensure_ascii=False)
+    return path
+
+
+# ---------------------------------------------------------------------------
+# Inputs, built once with the parent tree
+# ---------------------------------------------------------------------------
+
+def prepare(tree: str, inputs: str) -> None:
+    cli = _import_cli(tree)
+    from promptdensity.harness import make_synthetic_manifest, manifest_to_json
+
+    data = os.path.join(tree, "tests", "data")
+    shutil.copy(os.path.join(data, "arc_001.json"), inputs)
+    with open(os.path.join(data, "corpus.txt"), encoding="utf-8") as fh:
+        texts = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+    with open(os.path.join(data, "arc_001.json"), encoding="utf-8") as fh:
+        texts += list(json.load(fh)["items"][0]["variants"].values())
+    for number, text in enumerate(texts):
+        with open(os.path.join(inputs, f"text_{number:02d}.txt"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    manifest = _write_json(os.path.join(inputs, "manifest40.json"),
+                           manifest_to_json(make_synthetic_manifest(40, seed=2)))
+    backends = _write_json(os.path.join(inputs, "two_mocks.json"), TWO_MOCKS)
+
+    base = os.path.join(inputs, "results_base.json")
+    multi = os.path.join(inputs, "results_two_models.json")
+    for argv in (["run", "--manifest", manifest, "--out", base],
+                 ["run", "--manifest", manifest, "--backend", backends, "--runs", "2",
+                  "--seed", "3", "--out", multi]):
+        if _call(cli, argv)["code"] != 0:
+            sys.exit(f"parent tree failed: {argv}")
+        os.remove(argv[-1] + ".partial")
+    with open(base, encoding="utf-8") as fh:
+        records = json.load(fh)
+    # Missing records and errored trials, as a run with failing backends leaves them.
+    holes = []
+    for number, record in enumerate(records):
+        if number % 7 == 3:
+            continue
+        if number % 11 == 5:
+            record = {**record, "correct": False, "response": "", "latency_ms": 0.0,
+                      "output_tokens": 0, "error": "backend gave up after retries: HTTP 503"}
+        holes.append(record)
+    _write_json(os.path.join(inputs, "results_holes.json"), holes)
+    _write_json(os.path.join(inputs, "results_no_diluted.json"),
+                [r for r in records if r["condition"] != "diluted"])
+    # 60 items where one condition is always right and the other on 10.
+    for name, strong in (("loss", "diluted"), ("win", "ultra_dense")):
+        _write_json(os.path.join(inputs, f"results_{name}.json"), [
+            {"model": "m", "benchmark": "b", "item_id": f"i{i:02d}", "condition": condition,
+             "run": 0, "correct": condition == strong or i < 10, "response": "",
+             "latency_ms": 1.0, "output_tokens": 1, "sde": 0.5, "timestamp": "t"}
+            for i in range(60)
+            for condition in ("diluted", "ultra_dense")
+        ])
+
+
+# ---------------------------------------------------------------------------
+# The command matrix, run once per tree
+# ---------------------------------------------------------------------------
+
+def _results_cases(results: str) -> list[list[str]]:
+    cases = [["analyze", results], ["analyze", results, "--csv"], ["analyze", results, "--json"]]
+    for threshold in THRESHOLDS:
+        cases.append(["analyze", results, "--threshold", threshold])
+        cases.append(["mcnemar", results, "--threshold", threshold])
+    for pair in PAIRS:
+        cases.append(["mcnemar", results, "--pair", pair])
+        cases.append(["mcnemar", results, "--pair", pair, "--json"])
+    return cases
+
+
+def collect(tree: str, inputs: str, outdir: str, report: str) -> None:
+    cli = _import_cli(tree)
+    texts = sorted(n for n in os.listdir(inputs) if n.startswith("text_"))
+    results = sorted(n for n in os.listdir(inputs) if n.startswith("results_"))
+    cases: list[tuple[list[str], str | None]] = []
+    for name in texts:
+        path = os.path.join(inputs, name)
+        for command in ("score", "lint", "densify", "gradient"):
+            cases += [([command, path], None), ([command, path, "--json"], None)]
+    for manifest in ("arc_001.json", "manifest40.json"):
+        path = os.path.join(inputs, manifest)
+        cases += [(["validate", path, "--strict"], None),
+                  (["validate", path, "--strict", "--json"], None),
+                  (["run", "--manifest", path, "--runs", "1"], None)]
+        for label, backend in (("mock", ["--backend", "mock"]),
+                               ("two_mocks", ["--backend", os.path.join(inputs, "two_mocks.json")])):
+            out = os.path.join(outdir, f"{manifest[:-5]}_{label}.json")
+            cases.append((["run", "--manifest", path, *backend, "--seed", "1", "--out", out], out))
+            cases += [(argv, None) for argv in _results_cases(out)]
+    for name in results:
+        cases += [(argv, None) for argv in _results_cases(os.path.join(inputs, name))]
+
+    captured = []
+    for argv, written in cases:
+        result = _call(cli, argv)
+        if written:
+            with open(written, encoding="utf-8") as fh:
+                result["results file"] = fh.read()
+            with open(written + ".partial", encoding="utf-8") as fh:
+                # Completion order varies between backends; each line must not.
+                result[".partial lines, sorted"] = "".join(sorted(fh))
+        captured.append({"argv": argv, **result})
+    _write_json(report, captured)
+
+
+# ---------------------------------------------------------------------------
+# Comparison
+# ---------------------------------------------------------------------------
+
+def _render(case: dict, workdir: str, outdir: str) -> str:
+    parts = [f"exit {case['code']}"]
+    parts += [f"--- {name}\n{value}" for name, value in case.items() if name not in ("argv", "code")]
+    text = "\n".join(parts).replace(outdir, "<OUT>").replace(workdir, "<TMP>")
+    return TIMESTAMP_RE.sub("<TIME>", text)
+
+
+def _command(case: dict, workdir: str, outdir: str) -> str:
+    return " ".join(case["argv"]).replace(outdir, "<OUT>").replace(workdir, "<TMP>")
+
+
+def compare(parent: str, change: str) -> int:
+    with tempfile.TemporaryDirectory(prefix="same_output_") as workdir:
+        inputs = os.path.join(workdir, "inputs")
+        os.mkdir(inputs)
+        _subprocess(parent, "--prepare", parent, inputs)
+        rendered = []
+        for label, tree in (("parent", parent), ("change", change)):
+            outdir = os.path.join(workdir, f"out_{label}")
+            os.mkdir(outdir)
+            report = os.path.join(workdir, f"{label}.json")
+            _subprocess(tree, "--collect", tree, inputs, outdir, report)
+            with open(report, encoding="utf-8") as fh:
+                cases = json.load(fh)
+            rendered.append([(_command(c, workdir, outdir), _render(c, workdir, outdir))
+                             for c in cases])
+    differing = 0
+    for (command, before), (_, after) in zip(*rendered):
+        if before == after:
+            continue
+        differing += 1
+        print(f"DIFFERS: promptdensity {command}")
+        diff = difflib.unified_diff(before.splitlines(), after.splitlines(), "parent", "change",
+                                    lineterm="", n=1)
+        for line in list(diff)[2:2 + SHOWN_LINES]:
+            print(f"    {line}")
+    print(f"{len(rendered[0]) - differing} identical, {differing} differing "
+          f"of {len(rendered[0])} outputs")
+    return 1 if differing else 0
+
+
+def main() -> int:
+    # Internal modes, run by compare() in a subprocess per tree.
+    if sys.argv[1:2] == ["--prepare"]:
+        prepare(*sys.argv[2:])
+        return 0
+    if sys.argv[1:2] == ["--collect"]:
+        collect(*sys.argv[2:])
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="root of the parent checkout")
+    parser.add_argument("change", help="root of the changed checkout")
+    args = parser.parse_args()
+    return compare(os.path.abspath(args.parent), os.path.abspath(args.change))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
