@@ -14,7 +14,7 @@ The dilution template bank shares the format with its own categories;
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Container, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
@@ -136,19 +136,22 @@ def default_lexicon() -> Lexicon:
     return load_lexicon()
 
 
-def match_phrases(seq: TokenSequence, lex: Lexicon) -> list[PhraseMatch]:
-    """Greedy leftmost-longest, case-insensitive phrase matching.
+def scan_phrases(
+    seq: TokenSequence, lex: Lexicon, i: int = 0, rejoin: Container[int] = ()
+) -> tuple[list[PhraseMatch], int]:
+    """Greedy leftmost-longest, case-insensitive phrase matching from token ``i``.
 
     Multi-word phrases only match runs of non-punctuation tokens separated
-    by exactly one space in the source; matches never overlap.
+    by exactly one space in the source; matches never overlap. The scan
+    runs to the end, or stops at the first position it stands on that is
+    in ``rejoin``; it returns its matches and the position it stopped at.
     """
     index = lex._phrase_index
     tokens = seq.tokens
     lowered = seq.lowered  # None for punctuation, which matches no word
     source_bytes = seq.source.encode("utf-8")
     matches: list[PhraseMatch] = []
-    i = 0
-    while i < len(tokens):
+    while i < len(tokens) and i not in rejoin:
         candidates = index.get(lowered[i], ())
         chosen: tuple[tuple[str, ...], Category] | None = None
         for words, category in candidates:
@@ -165,4 +168,9 @@ def match_phrases(seq: TokenSequence, lex: Lexicon) -> list[PhraseMatch]:
         words, category = chosen
         matches.append(PhraseMatch(category, i, i + len(words), " ".join(words)))
         i += len(words)
-    return matches
+    return matches, i
+
+
+def match_phrases(seq: TokenSequence, lex: Lexicon) -> list[PhraseMatch]:
+    """Every phrase match of ``seq``: ``scan_phrases`` from token 0 to the end."""
+    return scan_phrases(seq, lex)[0]

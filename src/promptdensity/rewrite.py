@@ -21,7 +21,6 @@ from .lexicon import (
     Category,
     Lexicon,
     default_lexicon,
-    match_phrases,
     read_data_file,
     tagged_lines,
 )
@@ -30,8 +29,8 @@ from .scoring import (
     LabelKind,
     PromptAnalysis,
     ScoreConfig,
-    TokenLabel,
     analyze,
+    insert_word,
 )
 from .tokens import Token, TokenKind, TokenSequence, tokenize
 
@@ -151,9 +150,7 @@ def _word_indices(tokens: tuple[Token, ...]) -> list[int]:
     return [i for i, t in enumerate(tokens) if t.kind is not TokenKind.PUNCTUATION]
 
 
-def _findings(
-    seq: TokenSequence, labels: tuple[TokenLabel, ...], lex: Lexicon
-) -> list[tuple[int, int, Diagnostic]]:
+def _findings(analysis: PromptAnalysis) -> list[tuple[int, int, Diagnostic]]:
     """Every lint finding as (token start, token end, diagnostic).
 
     Grouped by rule in the order densify applies them: lexicon noise,
@@ -161,7 +158,7 @@ def _findings(
     'derive'), then single nominalizations and vague quantities in token
     order. A rule never takes a token an earlier finding already took.
     """
-    tokens = seq.tokens
+    seq, tokens = analysis.seq, analysis.seq.tokens
     out: list[tuple[int, int, Diagnostic]] = []
     claimed: set[int] = set()
 
@@ -171,10 +168,10 @@ def _findings(
                                            message, severity, replacement)))
         claimed.update(range(start, end))
 
-    for m in match_phrases(seq, lex):
+    for m in analysis.matches:
         rule, message = _RULE_BY_CATEGORY[m.category]
         add(m.start, m.end, rule, f"{message}: {m.phrase!r}", Severity.REMOVE_SAFE)
-    for i, (tok, lab) in enumerate(zip(tokens, labels)):
+    for i, (tok, lab) in enumerate(zip(tokens, analysis.labels)):
         if lab.kind is LabelKind.SEMANTIC and lab.redundant:
             add(i, i + 1, "redundant-restatement", f"{tok.text!r} repeats an earlier concept",
                 Severity.REMOVE_SAFE)
@@ -217,9 +214,7 @@ def lint(
     config: ScoreConfig = DEFAULT_CONFIG,
 ) -> list[Diagnostic]:
     """Produce diagnostics for one prompt, ordered by span."""
-    lex = lex if lex is not None else default_lexicon()
-    analysis = analyze(text, lex, config)
-    found = _findings(analysis.seq, analysis.labels, lex)
+    found = _findings(analyze(text, lex, config))
     return sorted((d for _start, _end, d in found), key=lambda d: (d.start, d.end))
 
 
@@ -278,9 +273,7 @@ def _rebuild(
 
 
 def _densify_round(
-    analysis: PromptAnalysis,
-    lex: Lexicon,
-    config: ScoreConfig,
+    analysis: PromptAnalysis, config: ScoreConfig
 ) -> tuple[str, list[Diagnostic], list[str]] | None:
     """One densification pass; None when the text is already stable."""
     seq, labels = analysis.seq, analysis.labels
@@ -292,7 +285,7 @@ def _densify_round(
 
     # Apply the lint findings that carry an edit: safe removals and
     # deterministic replacements.
-    for start, end, d in _findings(seq, labels, lex):
+    for start, end, d in _findings(analysis):
         if d.severity is Severity.REMOVE_SAFE:
             drop.update(range(start, end))
         elif d.replacement:
@@ -366,7 +359,7 @@ def _densify(text: str, lex: Lexicon, config: ScoreConfig) -> tuple[RewriteResul
     all_applied: list[Diagnostic] = []
     all_notes: list[str] = []
     for _ in range(10):
-        step = _densify_round(current, lex, config)
+        step = _densify_round(current, config)
         if step is None:
             break
         rebuilt, applied, notes = step
@@ -474,6 +467,9 @@ def gradient_variants(
     Greedy: noise units (hedge words, then preamble sentences for large
     gaps) are inserted one at a time until the score drops into the target
     band. Targets above the densified maximum are reported unreachable.
+    A hedge goes before a seeded word token and is rescored from the last
+    analysis by ``insert_word``; a preamble, or a hedge it declines, is
+    analysed afresh.
     """
     if not targets:
         return []
@@ -513,17 +509,17 @@ def gradient_variants(
             if not stepped:
                 hedge = unit_hedges[hedge_counter % len(unit_hedges)]
                 hedge_counter += 1
-                current = analyze(_insert_hedge_at(current.seq, hedge, rng), lex, config)
+                seq = current.seq
+                words = [k for k, t in enumerate(seq.tokens) if t.kind is TokenKind.WORD]
+                if not words:
+                    current = analyze(seq.source + " " + hedge, lex, config)
+                    continue
+                k = words[rng.randrange(len(words))]
+                current = insert_word(current, k, hedge, lex, config) or analyze(
+                    _insert_at(seq.source, seq.tokens[k].start, hedge), lex, config
+                )
         results[target] = GradientVariant(target, current.seq.source, current.sde)
     return [results[t] for t in ordered]
-
-
-def _insert_hedge_at(seq: TokenSequence, hedge: str, rng: random.Random) -> str:
-    """Insert one hedge before a word token of ``seq`` at a seeded position."""
-    word_positions = [t.start for t in seq.tokens if t.kind is TokenKind.WORD]
-    if not word_positions:
-        return seq.source + " " + hedge
-    return _insert_at(seq.source, word_positions[rng.randrange(len(word_positions))], hedge)
 
 
 # ---------------------------------------------------------------------------

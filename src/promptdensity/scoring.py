@@ -9,12 +9,21 @@ non-nominalized words). Scores map onto four density classes.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
 from . import wordlists
 from .errors import EmptyPromptError, PromptDensityError
-from .lexicon import Category, Lexicon, default_lexicon, match_phrases
+from .lexicon import (
+    MAX_PHRASE_WORDS,
+    Category,
+    Lexicon,
+    PhraseMatch,
+    default_lexicon,
+    match_phrases,
+    scan_phrases,
+)
 from .tokens import Token, TokenKind, TokenSequence, tokenize
 
 
@@ -89,6 +98,7 @@ class PromptAnalysis:
     concreteness: float
     labels: tuple[TokenLabel, ...]
     seq: TokenSequence = field(repr=False)
+    matches: tuple[PhraseMatch, ...] = field(compare=False, repr=False)
 
     def to_report(self) -> dict:
         return {
@@ -144,30 +154,42 @@ def classify_tokens(
     seq: TokenSequence,
     lex: Lexicon | None = None,
     config: ScoreConfig = DEFAULT_CONFIG,
+    *,
+    matches: Sequence[PhraseMatch] | None = None,
 ) -> tuple[TokenLabel, ...]:
     """Label every token.
 
-    Pipeline: lexicon phrase matches claim their tokens first, then the
-    closed-class function-word list, and the rest is semantic. Semantic
-    tokens are then flagged for redundancy (stem repeats an earlier
-    semantic stem; only words of at least ``redundancy_min_len`` letters
-    participate, so unit digits, operators, and single-letter symbols such
-    as option labels never self-penalize) and for concreteness. Redundant
-    repeats contribute no new content and are never concrete.
+    Pipeline: lexicon phrase matches (``matches`` if given) claim their
+    tokens first, then the closed-class function-word list, and the rest is
+    semantic. Semantic tokens are then flagged for redundancy (stem repeats
+    an earlier semantic stem; only words of at least ``redundancy_min_len``
+    letters participate, so unit digits, operators, and single-letter
+    symbols such as option labels never self-penalize) and for
+    concreteness. Redundant repeats contribute no new content and are never
+    concrete. ``insert_word`` relabels a span with the same rules.
     """
     lex = lex if lex is not None else default_lexicon()
-    tokens = seq.tokens
+    matches = matches if matches is not None else match_phrases(seq, lex)
+    return tuple(_label_span(seq, 0, len(seq), matches, lex, config, set()))
+
+
+def _label_span(seq: TokenSequence, lo: int, hi: int, matches: Sequence[PhraseMatch],
+                lex: Lexicon, config: ScoreConfig, seen_stems: set[str]) -> list[TokenLabel]:
+    """Labels of tokens [lo, hi). A semantic word whose stem is in
+    ``seen_stems`` is redundant, and its stem joins the set."""
+    tokens, lowered = seq.tokens, seq.lowered
     by_match: dict[int, TokenLabel] = {}
-    for m in match_phrases(seq, lex):
-        label = _LABELS[_CATEGORY_LABELS[m.category], False, False]
-        for i in range(m.start, m.end):
-            by_match[i] = label
+    for m in matches:
+        if m.start < hi and m.end > lo:
+            label = _LABELS[_CATEGORY_LABELS[m.category], False, False]
+            for i in range(m.start, m.end):
+                by_match[i] = label
 
     units = lex.phrases(Category.UNIT)
     suffixes = lex.phrases(Category.NOMINALIZATION_SUFFIX)
-    seen_stems: set[str] = set()
     labels: list[TokenLabel] = []
-    for idx, (tok, lower) in enumerate(zip(tokens, seq.lowered)):
+    for idx in range(lo, hi):
+        lower = lowered[idx]
         if lower is None:
             labels.append(_FUNCTION_LABEL)
             continue
@@ -175,6 +197,7 @@ def classify_tokens(
         if matched is not None:
             labels.append(matched)
             continue
+        tok = tokens[idx]
         if (
             tok.kind is TokenKind.WORD
             and lower in config.function_words
@@ -193,7 +216,7 @@ def classify_tokens(
             tok, idx, tokens, lower, units, suffixes, config
         )
         labels.append(_LABELS[LabelKind.SEMANTIC, redundant, concrete])
-    return tuple(labels)
+    return labels
 
 
 def _is_concrete(
@@ -271,16 +294,67 @@ def analyze(
     w = seq.word_count
     if w == 0:
         raise EmptyPromptError("empty prompt")
-    labels = classify_tokens(seq, lex, config)
+    lex = lex if lex is not None else default_lexicon()
+    matches = tuple(match_phrases(seq, lex))
+    return _scored(seq, w, classify_tokens(seq, lex, config, matches=matches), matches, config)
+
+
+def _scored(seq: TokenSequence, w: int, labels: tuple[TokenLabel, ...],
+            matches: tuple[PhraseMatch, ...], config: ScoreConfig) -> PromptAnalysis:
     s, r, c = component_scores(labels, w)
     sde = density_score(s, w, r, c)
-    return PromptAnalysis(
-        sde=sde,
-        klass=density_class(sde, config),
-        word_count=w,
-        semantic_count=s,
-        redundancy=r,
-        concreteness=c,
-        labels=labels,
-        seq=seq,
+    return PromptAnalysis(sde, density_class(sde, config), w, s, r, c, labels, seq, matches)
+
+
+def insert_word(
+    analysis: PromptAnalysis,
+    k: int,
+    word: str,
+    lex: Lexicon | None = None,
+    config: ScoreConfig = DEFAULT_CONFIG,
+) -> PromptAnalysis | None:
+    """``analyze`` of the text with ``word + " "`` inserted at the start of
+    WORD token ``k``, rescored from ``analysis`` (of the same ``lex`` and
+    ``config``); None, for the caller to ``analyze``, if ``word`` is not all
+    letters or a token turns semantic or not, which moves the stem order.
+
+    Phrase matching restarts at a position the old scan stood on, at least
+    ``MAX_PHRASE_WORDS`` before ``k``, and stops where it meets the old scan
+    past ``k``. Only those tokens and token ``k + 1``, whose sentence start
+    moved, are relabelled; the redundancy flags stay.
+    """
+    seq, tokens = analysis.seq, analysis.seq.tokens
+    if not word.isalpha() or tokens[k].kind is not TokenKind.WORD:
+        return None
+    lex = lex if lex is not None else default_lexicon()
+    raw, pos, inserted = seq.source.encode("utf-8"), tokens[k].start, (word + " ").encode("utf-8")
+    shift = len(inserted)
+    new_seq = TokenSequence(
+        (raw[:pos] + inserted + raw[pos:]).decode("utf-8"),
+        tokens[:k] + (Token(word, pos, pos + shift - 1, TokenKind.WORD),)
+        + tuple(Token(t.text, t.start + shift, t.end + shift, t.kind) for t in tokens[k:]),
     )
+    new_seq.__dict__["lowered"] = seq.lowered[:k] + (word.lower(),) + seq.lowered[k:]
+
+    old = analysis.matches
+    start = max(k - MAX_PHRASE_WORDS, 0)
+    start = next((m.start for m in old if m.start < start < m.end), start)
+    # Past k the new scan agrees with the old from any position both stand on.
+    inside = {j + 1 for m in old for j in range(m.start + 1, m.end)}
+    found, stop = scan_phrases(new_seq, lex, start, set(range(k + 1, len(new_seq))) - inside)
+    tail = [PhraseMatch(m.category, m.start + 1, m.end + 1, m.phrase)
+            for m in old if m.start >= stop - 1]
+    matches = (*(m for m in old if m.end <= start), *found, *tail)
+
+    labels = list(analysis.labels)
+    labels.insert(k, _FUNCTION_LABEL)  # so that a semantic new word falls back
+    # With no token turning semantic or not, a repeat within the span was a
+    # repeat before, and the old flags are the whole text's.
+    end = min(max(stop, k + 2), len(new_seq))
+    span = _label_span(new_seq, start, end, matches, lex, config, set())
+    for idx, label in enumerate(span, start):
+        before = labels[idx]
+        if (label.kind is LabelKind.SEMANTIC) != (before.kind is LabelKind.SEMANTIC):
+            return None
+        labels[idx] = before if before.redundant else label
+    return _scored(new_seq, analysis.word_count + 1, tuple(labels), matches, config)

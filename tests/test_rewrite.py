@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from promptdensity import wordlists
+from promptdensity import lexicon, rewrite, scoring, wordlists
 from promptdensity.errors import EmptyPromptError, LexiconFormatError, PromptDensityError
 from promptdensity.lexicon import Category, default_lexicon
 from promptdensity.rewrite import (
@@ -142,6 +144,27 @@ def test_densify_monotone_on_corpus(corpus):
 def test_densify_empty_result_refused():
     with pytest.raises(PromptDensityError):
         densify("maybe maybe maybe")
+
+
+def test_lint_and_densify_match_each_sequence_once(monkeypatch):
+    # lint and densify read the phrase matches their analysis keeps.
+    calls = []
+
+    def counting(seq, lex):
+        calls.append(seq.source)
+        return original(seq, lex)
+
+    original = lexicon.match_phrases
+    for module in (lexicon, scoring, rewrite):
+        if getattr(module, "match_phrases", None) is original:
+            monkeypatch.setattr(module, "match_phrases", counting)
+    text = "Could you please basically explain the sorting of lists?"
+    lint(text)
+    assert len(calls) == 1
+    calls.clear()
+    # One round of edits, then one that finds the text stable.
+    assert densify(text).output == "explain sorting of lists?"
+    assert len(calls) == 2
 
 
 def test_densify_empty_input():
@@ -369,6 +392,20 @@ def test_gradient_monotone_and_deterministic(corpus):
         reachable = [v for v in first if v.reachable]
         achieved = [v.achieved for v in reachable]
         assert achieved == sorted(achieved)
+
+
+def test_gradient_output_is_pinned(corpus):
+    # Ladder texts, scores and reachability on the corpus at three seeds, as
+    # the ladder gave them when each step re-analysed the whole text.
+    digest = hashlib.sha256()
+    for seed in (0, 3, 7):
+        for text in corpus:
+            for v in gradient_variants(text, TARGETS, seed=seed):
+                digest.update(f"{v.text}\0{v.achieved!r}\0{v.reachable}\n".encode("utf-8"))
+    assert len(corpus) == 20
+    assert digest.hexdigest() == (
+        "e77362780f317b0fd72310f3e83caa3957469c94cad70185eac90a830b9b405b"
+    )
 
 
 def test_gradient_unreachable_targets_reported():

@@ -3,9 +3,17 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from promptdensity.errors import EmptyPromptError, PromptDensityError
-from promptdensity.lexicon import default_lexicon
+from promptdensity.lexicon import (
+    NOISE_CATEGORIES,
+    Category,
+    Lexicon,
+    default_lexicon,
+    match_phrases,
+)
 from promptdensity.scoring import (
     DensityClass,
     LabelKind,
@@ -14,6 +22,7 @@ from promptdensity.scoring import (
     component_scores,
     density_class,
     density_score,
+    insert_word,
     stem,
 )
 from promptdensity.tokens import TokenKind, tokenize
@@ -69,6 +78,12 @@ def test_option_label_is_not_the_article():
     assert by_text["B"].kind is LabelKind.SEMANTIC
 
 
+def test_option_label_before_colon_is_not_the_article():
+    seq, labels = labels_for("Which gas? A: oxygen B: argon")
+    a_label = labels[[t.text for t in seq.tokens].index("A")]
+    assert a_label.kind is LabelKind.SEMANTIC
+
+
 def test_numbers_math_symbols_units_concrete():
     seq, labels = labels_for("Add 40 km + 2 tokens")
     for i, tok in enumerate(seq.tokens):
@@ -92,6 +107,12 @@ def test_nominalization_and_abstract_words_not_concrete():
     assert by_text["derivation"].concrete is False
     assert by_text["statement"].concrete is False  # -ment suffix
     assert by_text["intelligence"].concrete is False  # -ence suffix
+
+
+def test_suffix_needs_a_stem_of_three_letters():
+    # "unity" ends in -ity but leaves only "un" before it.
+    seq, labels = labels_for("measure unity")
+    assert labels[1].kind is LabelKind.SEMANTIC and labels[1].concrete
 
 
 # ---------------------------------------------------------------------------
@@ -268,3 +289,132 @@ def test_report_shape(arc_variants):
     assert len(report["labels"]) == len(tokenize(arc_variants["standard"]).tokens)
     first = report["labels"][0]
     assert set(first) == {"text", "span", "kind", "label", "redundant", "concrete"}
+
+
+# ---------------------------------------------------------------------------
+# insert_word: analyze of the inserted text, or None
+# ---------------------------------------------------------------------------
+
+_NOISE_PHRASES = sorted(
+    phrase for category in NOISE_CATEGORIES for phrase in default_lexicon().phrases(category)
+)
+_NO_HEDGES = Lexicon(
+    {c: p for c, p in default_lexicon().entries.items() if c is not Category.HEDGE}
+)
+# Each multi-word phrase with one word left out, which an insertion completes.
+_NEAR_PHRASES = sorted(
+    " ".join(words[:i] + words[i + 1 :])
+    for words in (phrase.split(" ") for phrase in _NOISE_PHRASES if " " in phrase)
+    for i in range(len(words))
+)
+_PHRASE_WORDS = sorted({w for phrase in _NOISE_PHRASES for w in phrase.split(" ") if w.isalpha()})
+# Phrases, option labels, capitalised abstract words (concrete only away
+# from a sentence start), sentence punctuation and runs of whitespace, plus
+# arbitrary text without lone surrogates.
+_PIECES = st.one_of(
+    st.sampled_from(_NOISE_PHRASES + _NEAR_PHRASES),
+    st.sampled_from(
+        "A. B) C: D: A I a the of is km 42 + Paris Density Intelligence unity city".split()
+        + [".", "?", "!", ";", ":", "(", ")", ",", "...", "(kind", "of)"]
+    ),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6),
+)
+_GAPS = st.sampled_from([" ", " ", " ", "", "  ", "\n", "\t", " \n "])
+
+
+def _joined(parts):
+    return "".join(piece + gap for piece, gap in parts)
+
+
+_INSERT_TEXT = st.lists(st.tuples(_PIECES, _GAPS), min_size=1, max_size=25).map(_joined)
+_SIDE_TEXT = st.lists(st.tuples(_PIECES, _GAPS), max_size=6).map(_joined)
+_INSERT_WORDS = st.one_of(
+    st.sampled_from(_PHRASE_WORDS),
+    st.sampled_from(["Maybe", "Please", "A", "I", "Paris", "unity"]),
+    st.text(st.characters(whitelist_categories=("Lu", "Ll", "Lt", "Lm", "Lo")), min_size=1,
+            max_size=6),
+)
+
+
+def _check_insertion(lex, text, k, word):
+    """insert_word is None or analyze of the inserted text, matches included."""
+    try:
+        before = analyze(text, lex)
+    except EmptyPromptError:
+        assume(False)
+    assume(k < len(before.seq) and before.seq.tokens[k].kind is TokenKind.WORD)
+    got = insert_word(before, k, word, lex)
+    if got is None:
+        return
+    raw, pos = text.encode("utf-8"), before.seq.tokens[k].start
+    after = analyze((raw[:pos] + (word + " ").encode("utf-8") + raw[pos:]).decode("utf-8"), lex)
+    assert got == after
+    assert got.seq.lowered == after.seq.lowered
+    assert list(got.matches) == match_phrases(after.seq, lex) == list(after.matches)
+
+
+@st.composite
+def _phrase_insertions(draw):
+    """A short text holding a multi-word phrase, with one word left out and
+    put back, or whole and split by a phrase word."""
+    phrase = draw(st.sampled_from([p for p in _NOISE_PHRASES if " " in p])).split(" ")
+    if draw(st.booleans()):
+        gap = draw(st.integers(0, len(phrase) - 1))
+        middle, word = phrase[:gap] + phrase[gap + 1 :], phrase[gap]
+    else:
+        gap = draw(st.integers(1, len(phrase) - 1))
+        middle, word = phrase, draw(st.sampled_from(_PHRASE_WORDS))
+    left, right = draw(_SIDE_TEXT), draw(_SIDE_TEXT)
+    k = len(tokenize(left + " " + " ".join(middle[:gap])).tokens)
+    if draw(st.booleans()):
+        word = word.capitalize()
+    return f"{left} {' '.join(middle)} {right}", k, word
+
+
+_LEXICONS = pytest.mark.parametrize(
+    "lex", [default_lexicon(), _NO_HEDGES], ids=["default", "no-hedges"]
+)
+
+
+@_LEXICONS
+@settings(max_examples=75, deadline=None)
+@given(text=_INSERT_TEXT, pick=st.integers(0, 1000), word=_INSERT_WORDS)
+def test_insert_word_equals_analyze(lex, text, pick, word):
+    try:
+        tokens = analyze(text, lex).seq.tokens
+    except EmptyPromptError:
+        assume(False)
+    words = [k for k, t in enumerate(tokens) if t.kind is TokenKind.WORD]
+    assume(words)
+    _check_insertion(lex, text, words[pick % len(words)], word)
+
+
+@_LEXICONS
+@settings(max_examples=150, deadline=None)
+@given(_phrase_insertions())
+def test_insert_word_equals_analyze_at_phrases(lex, case):
+    _check_insertion(lex, *case)
+
+
+def test_insert_word_relabels_the_old_sentence_start():
+    # "Density" is abstract at a sentence start and a name elsewhere.
+    before = analyze("Density matters.")
+    after = insert_word(before, 0, "maybe")
+    assert after == analyze("maybe Density matters.")
+    assert not before.labels[0].concrete and after.labels[1].concrete
+
+
+def test_insert_word_keeps_a_repeat_redundant():
+    # The second "sort" is relabelled, and repeats one before the rescan.
+    text = "Sort lists by size in three quick and simple steps, then sort lists."
+    after = insert_word(analyze(text), 12, "maybe")
+    assert after == analyze(text.replace("then", "then maybe"))
+    assert after.seq.tokens[13].text == "sort" and after.labels[13].redundant
+
+
+def test_insert_word_declines_a_split_phrase():
+    # "maybe" inside "kind of" leaves "kind" a semantic word.
+    before = analyze("Name this kind of rock.")
+    assert insert_word(before, 3, "maybe") is None
+    after = analyze("Name this kind maybe of rock.")
+    assert after.labels[2].kind is LabelKind.SEMANTIC

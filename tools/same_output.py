@@ -7,8 +7,10 @@ The script builds one set of inputs with PARENT_DIR's code: the
 ``tests/data`` fixtures, a 40-item synthetic manifest, and results files
 from mock runs, one of them with missing records and errored trials. It
 then runs the same matrix of ``promptdensity`` commands against each tree,
-each tree in its own Python subprocess: score, lint, densify, gradient,
-validate --strict, run (stdout, and --out with the results and .partial
+each tree in its own Python subprocess: score, lint, densify, gradient
+(also at five seeds with targets from 0.05, where preambles are inserted,
+to 1.0, often out of reach, on each text and on all texts joined into
+one), validate --strict, run (stdout, and --out with the results and .partial
 files), analyze (text, --csv, --json) and mcnemar at several thresholds
 and condition pairs. Timestamps and temporary paths are masked. It prints
 how many outputs are identical and how many differ, with the first
@@ -33,6 +35,8 @@ import tempfile
 SHOWN_LINES = 12  # lines of each difference printed
 TIMESTAMP_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(?:\.\d+)?(?:[+-]\d\d:\d\d|Z)?")
 THRESHOLDS = ("0.1", "0.05", "0.5", "1", "nan", "0", "2")
+GRADIENT_SEEDS = ("0", "1", "2", "3", "4")
+GRADIENT_TARGETS = "0.05,0.20,0.50,0.80,1.0"
 PAIRS = ("ultra_dense:diluted", "diluted:ultra_dense", "standard:diluted",
          "ultra_dense:standard", "ultra_dense:padding")
 TWO_MOCKS = [
@@ -89,6 +93,8 @@ def prepare(tree: str, inputs: str) -> None:
     for number, text in enumerate(texts):
         with open(os.path.join(inputs, f"text_{number:02d}.txt"), "w", encoding="utf-8") as fh:
             fh.write(text)
+    with open(os.path.join(inputs, "long_joined.txt"), "w", encoding="utf-8") as fh:
+        fh.write(" ".join(texts))
     manifest = _write_json(os.path.join(inputs, "manifest40.json"),
                            manifest_to_json(make_synthetic_manifest(40, seed=2)))
     backends = _write_json(os.path.join(inputs, "two_mocks.json"), TWO_MOCKS)
@@ -150,6 +156,11 @@ def collect(tree: str, inputs: str, outdir: str, report: str) -> None:
         path = os.path.join(inputs, name)
         for command in ("score", "lint", "densify", "gradient"):
             cases += [([command, path], None), ([command, path, "--json"], None)]
+    for name in texts + ["long_joined.txt"]:
+        path = os.path.join(inputs, name)
+        for seed in GRADIENT_SEEDS:
+            argv = ["gradient", path, "--seed", seed, "--targets", GRADIENT_TARGETS, "--json"]
+            cases.append((argv, None))
     for manifest in ("arc_001.json", "manifest40.json"):
         path = os.path.join(inputs, manifest)
         cases += [(["validate", path, "--strict"], None),
