@@ -54,8 +54,10 @@ def _emit(payload: dict) -> None:
 
 
 def _is_number(value) -> bool:
-    """Whether a JSON value is a number; JSON true and false are not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a value is a number that a float holds: not NaN, not infinite
+    and not a larger int. JSON true and false are not numbers."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_path(value) -> bool:
@@ -258,6 +260,10 @@ def _cmd_validate(args) -> int:
 
 def _parse_backends(args) -> list:
     if args.backend == "mock":
+        for flag, value in (("--mock-intercept", args.mock_intercept),
+                            ("--mock-slope", args.mock_slope)):
+            if not _is_number(value):
+                raise PromptDensityError(f"{flag} must be a finite number")
         descriptor = BackendDescriptor(
             kind=BackendKind.MOCK,
             model_id=args.model,
@@ -287,15 +293,23 @@ def _parse_backends(args) -> list:
         for name in ("intercept", "slope"):
             if kind is BackendKind.MOCK and name in params and not _is_number(params[name]):
                 raise PromptDensityError(f"{where} 'params.{name}' must be a number")
+        credential = entry.get("credential_env")
+        if credential is not None and not isinstance(credential, str):
+            raise PromptDensityError(f"{where} 'credential_env' must be a string")
         descriptor = BackendDescriptor(
             kind=kind,
             model_id=entry["model"],
             endpoint=entry.get("endpoint"),
-            credential_env=entry.get("credential_env"),
+            credential_env=credential,
             params=params,
             rate_limit_rpm=rpm,
             max_retries=retries,
         )
+        # Checked before any request, so that no trial records the missing key.
+        if kind is BackendKind.HTTP_CHAT and not os.environ.get(credential):
+            raise PromptDensityError(
+                f"{where}: credential environment variable {credential!r} is unset"
+            )
         backends.append(build_backend(descriptor, seed=args.seed))
     return backends
 

@@ -21,6 +21,7 @@ import math
 import operator
 import os
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -109,8 +110,10 @@ class TrialRecord:
         values = []
         for name, (kind, described) in _RECORD_FIELDS.items():
             value = data.get(name)
-            # JSON true and false are Python ints, but not record numbers.
-            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            # JSON true and false are Python ints, but not record numbers; nor
+            # are NaN, the infinities and ints too large for a float.
+            if (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+                    or kind is _NUMBER and not abs(value) <= sys.float_info.max):
                 if name not in data:
                     raise PromptDensityError(f"trial record lacks field {name!r}")
                 raise PromptDensityError(f"malformed trial record: {name!r} must be {described}")

@@ -32,7 +32,7 @@ from .scoring import (
     analyze,
     insert_word,
 )
-from .tokens import Token, TokenKind, TokenSequence, tokenize
+from .tokens import Token, TokenKind, TokenSequence, insert_at, tokenize
 
 
 class Severity(Enum):
@@ -390,12 +390,6 @@ def _first_sentence(text: str) -> str:
     return text[: m.end()] if m else text
 
 
-def _insert_at(text: str, pos: int, phrase: str) -> str:
-    """Insert ``phrase`` and a space at byte offset ``pos`` of ``text``."""
-    raw = text.encode("utf-8")
-    return (raw[:pos] + (phrase + " ").encode("utf-8") + raw[pos:]).decode("utf-8")
-
-
 def dilute(
     text: str,
     seed: int = 0,
@@ -428,7 +422,7 @@ def dilute(
     hedges = [bank.hedges[rng.randrange(len(bank.hedges))] for _ in verb_starts]
     hedged = text
     for pos, hedge in reversed(list(zip(verb_starts, hedges))):
-        hedged = _insert_at(hedged, pos, hedge)
+        hedged = insert_at(hedged, pos, hedge)
 
     frame = bank.frames[rng.randrange(len(bank.frames))]
     restatement = f"{frame} {_first_sentence(text)}"
@@ -474,7 +468,7 @@ def gradient_variants(
     if not targets:
         return []
     ordered = sorted(targets)
-    if ordered[0] <= 0.0 or ordered[-1] > 1.0:
+    if not all(0.0 < t <= 1.0 for t in ordered):
         raise PromptDensityError("targets must lie in (0, 1]")
     lex = lex if lex is not None else default_lexicon()
     bank = bank if bank is not None else default_templates()
@@ -516,7 +510,7 @@ def gradient_variants(
                     continue
                 k = words[rng.randrange(len(words))]
                 current = insert_word(current, k, hedge, lex, config) or analyze(
-                    _insert_at(seq.source, seq.tokens[k].start, hedge), lex, config
+                    insert_at(seq.source, seq.tokens[k].start, hedge), lex, config
                 )
         results[target] = GradientVariant(target, current.seq.source, current.sde)
     return [results[t] for t in ordered]

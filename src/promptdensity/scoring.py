@@ -17,6 +17,7 @@ from . import wordlists
 from .errors import EmptyPromptError, PromptDensityError
 from .lexicon import (
     MAX_PHRASE_WORDS,
+    NOISE_CATEGORIES,
     Category,
     Lexicon,
     PhraseMatch,
@@ -24,7 +25,7 @@ from .lexicon import (
     match_phrases,
     scan_phrases,
 )
-from .tokens import Token, TokenKind, TokenSequence, tokenize
+from .tokens import Token, TokenKind, TokenSequence, insert_at, tokenize
 
 
 class LabelKind(Enum):
@@ -36,14 +37,6 @@ class LabelKind(Enum):
     SEMANTIC = "semantic"
 
 
-_CATEGORY_LABELS = {
-    Category.FILLER: LabelKind.FILLER,
-    Category.HEDGE: LabelKind.HEDGE,
-    Category.META: LabelKind.META,
-    Category.TRANSITIONAL: LabelKind.TRANSITIONAL,
-}
-
-
 @dataclass(frozen=True)
 class TokenLabel:
     """Classification of one token; flags only apply to SEMANTIC tokens."""
@@ -53,14 +46,14 @@ class TokenLabel:
     concrete: bool = False
 
 
-# Every possible label, built once; classify_tokens hands these out.
-_LABELS = {
-    (kind, redundant, concrete): TokenLabel(kind, redundant, concrete)
-    for kind in LabelKind
-    for redundant in (False, True)
-    for concrete in (False, True)
+# Every label that can occur, built once; classify_tokens hands these out.
+# A redundant word is never concrete, so three semantic labels exist.
+_CATEGORY_LABELS = {c: TokenLabel(LabelKind[c.name]) for c in NOISE_CATEGORIES}
+_FUNCTION_LABEL = TokenLabel(LabelKind.FUNCTION)
+_SEMANTIC_LABELS = {
+    (redundant, concrete): TokenLabel(LabelKind.SEMANTIC, redundant, concrete)
+    for redundant, concrete in ((False, False), (False, True), (True, False))
 }
-_FUNCTION_LABEL = _LABELS[LabelKind.FUNCTION, False, False]
 
 
 class DensityClass(Enum):
@@ -72,11 +65,16 @@ class DensityClass(Enum):
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """Shipped classification defaults; all lists are extensible."""
+    """Word lists and thresholds of the scorer; the defaults are shipped.
+
+    ``function_words`` are never semantic and ``abstract_words`` never
+    concrete; a config file extends both. A word of fewer than
+    ``redundancy_min_len`` characters never counts as a repeat. The three
+    thresholds bound the density classes (see ``density_class``).
+    """
 
     function_words: frozenset[str] = wordlists.FUNCTION_WORDS
     abstract_words: frozenset[str] = wordlists.ABSTRACT_WORDS
-    nominalization_words: frozenset[str] = frozenset(wordlists.NOMINALIZATION_VERBS)
     redundancy_min_len: int = 2
     diluted_below: float = 0.40
     dense_from: float = 0.65
@@ -131,25 +129,6 @@ def stem(word: str) -> str:
     return w
 
 
-def _sentence_initial(tokens: tuple[Token, ...], idx: int) -> bool:
-    if idx == 0:
-        return True
-    prev = tokens[idx - 1]
-    return prev.kind is TokenKind.PUNCTUATION and prev.text[-1] in ".?!:;"
-
-
-def _is_enum_label(tokens: tuple[Token, ...], idx: int) -> bool:
-    """A single capital letter directly followed by ``.``/``)``/``:`` is an
-    enumeration label (multiple-choice option), not the article or pronoun."""
-    tok = tokens[idx]
-    if len(tok.text) != 1 or not tok.text.isupper() or tok.text == "I":
-        return False
-    if idx + 1 >= len(tokens):
-        return False
-    nxt = tokens[idx + 1]
-    return nxt.kind is TokenKind.PUNCTUATION and nxt.text[0] in ".):" and nxt.start == tok.end
-
-
 def classify_tokens(
     seq: TokenSequence,
     lex: Lexicon | None = None,
@@ -170,23 +149,25 @@ def classify_tokens(
     """
     lex = lex if lex is not None else default_lexicon()
     matches = matches if matches is not None else match_phrases(seq, lex)
-    return tuple(_label_span(seq, 0, len(seq), matches, lex, config, set()))
+    return tuple(_label_span(seq, 0, len(seq), matches, lex, config))
 
 
 def _label_span(seq: TokenSequence, lo: int, hi: int, matches: Sequence[PhraseMatch],
-                lex: Lexicon, config: ScoreConfig, seen_stems: set[str]) -> list[TokenLabel]:
-    """Labels of tokens [lo, hi). A semantic word whose stem is in
-    ``seen_stems`` is redundant, and its stem joins the set."""
+                lex: Lexicon, config: ScoreConfig) -> list[TokenLabel]:
+    """Labels of tokens [lo, hi); a word is redundant when its stem repeats
+    one earlier in the span."""
     tokens, lowered = seq.tokens, seq.lowered
     by_match: dict[int, TokenLabel] = {}
     for m in matches:
         if m.start < hi and m.end > lo:
-            label = _LABELS[_CATEGORY_LABELS[m.category], False, False]
+            label = _CATEGORY_LABELS[m.category]
             for i in range(m.start, m.end):
                 by_match[i] = label
 
     units = lex.phrases(Category.UNIT)
     suffixes = lex.phrases(Category.NOMINALIZATION_SUFFIX)
+    nominalizations = wordlists.NOMINALIZATION_VERBS
+    seen_stems: set[str] = set()
     labels: list[TokenLabel] = []
     for idx in range(lo, hi):
         lower = lowered[idx]
@@ -198,54 +179,41 @@ def _label_span(seq: TokenSequence, lo: int, hi: int, matches: Sequence[PhraseMa
             labels.append(matched)
             continue
         tok = tokens[idx]
-        if (
-            tok.kind is TokenKind.WORD
-            and lower in config.function_words
-            and not _is_enum_label(tokens, idx)
-        ):
-            labels.append(_FUNCTION_LABEL)
-            continue
+        word = tok.kind is TokenKind.WORD
+        if word and lower in config.function_words:
+            # A lone capital directly before "."/")"/":" is a multiple-choice
+            # option label, not the article or pronoun.
+            nxt = idx + 1
+            if not (len(tok.text) == 1 and tok.text.isupper() and tok.text != "I"
+                    and nxt < len(tokens) and tokens[nxt].text[0] in ".):"
+                    and tokens[nxt].start == tok.end):
+                labels.append(_FUNCTION_LABEL)
+                continue
 
+        word_stem = stem(lower)
         redundant = False
-        if tok.kind is TokenKind.WORD and len(tok.text) >= config.redundancy_min_len:
-            s = stem(tok.text)
-            redundant = s in seen_stems
-            seen_stems.add(s)
-
-        concrete = not redundant and _is_concrete(
-            tok, idx, tokens, lower, units, suffixes, config
-        )
-        labels.append(_LABELS[LabelKind.SEMANTIC, redundant, concrete])
+        if word and len(tok.text) >= config.redundancy_min_len:
+            redundant = word_stem in seen_stems
+            seen_stems.add(word_stem)
+        if redundant:
+            concrete = False
+        elif not word or lower in units:  # numbers, math symbols and units
+            concrete = True
+        elif tok.text[0].isupper() and idx > 0 and (
+            lowered[idx - 1] is not None or tokens[idx - 1].text[-1] not in ".?!:;"
+        ):  # a capital away from a sentence start names something
+            concrete = True
+        else:
+            # The suffix must hang off a real stem ("density", not "city").
+            concrete = not (
+                lower in config.abstract_words
+                or lower in nominalizations
+                or word_stem in nominalizations
+                or any(word_stem.endswith(suffix) and len(word_stem) >= len(suffix) + 3
+                       for suffix in suffixes)
+            )
+        labels.append(_SEMANTIC_LABELS[redundant, concrete])
     return labels
-
-
-def _is_concrete(
-    tok: Token,
-    idx: int,
-    tokens: tuple[Token, ...],
-    lower: str,
-    units: frozenset[str],
-    suffixes: frozenset[str],
-    config: ScoreConfig,
-) -> bool:
-    if tok.kind in (TokenKind.NUMBER, TokenKind.MATH_SYMBOL):
-        return True
-    if lower in units:
-        return True
-    if tok.text[0].isupper() and not _sentence_initial(tokens, idx):
-        return True
-    if lower in config.abstract_words:
-        return False
-    word_stem = stem(lower)
-    if lower in config.nominalization_words or word_stem in config.nominalization_words:
-        return False
-    # The suffix must hang off a real stem ("density", not "city").
-    if any(
-        word_stem.endswith(suffix) and len(word_stem) >= len(suffix) + 3
-        for suffix in suffixes
-    ):
-        return False
-    return True
 
 
 def component_scores(labels: tuple[TokenLabel, ...], w: int) -> tuple[int, float, float]:
@@ -327,10 +295,9 @@ def insert_word(
     if not word.isalpha() or tokens[k].kind is not TokenKind.WORD:
         return None
     lex = lex if lex is not None else default_lexicon()
-    raw, pos, inserted = seq.source.encode("utf-8"), tokens[k].start, (word + " ").encode("utf-8")
-    shift = len(inserted)
+    pos, shift = tokens[k].start, len(word.encode("utf-8")) + 1
     new_seq = TokenSequence(
-        (raw[:pos] + inserted + raw[pos:]).decode("utf-8"),
+        insert_at(seq.source, pos, word),
         tokens[:k] + (Token(word, pos, pos + shift - 1, TokenKind.WORD),)
         + tuple(Token(t.text, t.start + shift, t.end + shift, t.kind) for t in tokens[k:]),
     )
@@ -351,7 +318,7 @@ def insert_word(
     # With no token turning semantic or not, a repeat within the span was a
     # repeat before, and the old flags are the whole text's.
     end = min(max(stop, k + 2), len(new_seq))
-    span = _label_span(new_seq, start, end, matches, lex, config, set())
+    span = _label_span(new_seq, start, end, matches, lex, config)
     for idx, label in enumerate(span, start):
         before = labels[idx]
         if (label.kind is LabelKind.SEMANTIC) != (before.kind is LabelKind.SEMANTIC):

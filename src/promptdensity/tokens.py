@@ -30,10 +30,6 @@ class Token:
     end: int
     kind: TokenKind
 
-    @property
-    def is_word_like(self) -> bool:
-        return self.kind is not TokenKind.PUNCTUATION
-
 
 @dataclass(frozen=True)
 class TokenSequence:
@@ -44,7 +40,7 @@ class TokenSequence:
 
     @property
     def word_count(self) -> int:
-        return sum(1 for t in self.tokens if t.is_word_like)
+        return len(self.tokens) - self.lowered.count(None)
 
     @cached_property
     def lowered(self) -> tuple[str | None, ...]:
@@ -55,9 +51,6 @@ class TokenSequence:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
 
 
 _CHUNK_RE = re.compile(r"\S+")
@@ -124,6 +117,12 @@ def tokenize(text: str) -> TokenSequence:
         if hi > trail:
             emit(trail, hi, TokenKind.PUNCTUATION)
     return TokenSequence(source=text, tokens=tuple(tokens))
+
+
+def insert_at(text: str, pos: int, phrase: str) -> str:
+    """Insert ``phrase`` and a space at byte offset ``pos`` of ``text``."""
+    raw = text.encode("utf-8")
+    return (raw[:pos] + (phrase + " ").encode("utf-8") + raw[pos:]).decode("utf-8")
 
 
 def word_count(seq: TokenSequence) -> int:

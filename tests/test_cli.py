@@ -442,6 +442,90 @@ def test_results_nested_too_deeply_domain_error(tmp_path, capsys):
     assert out == "" and err.count("\n") == 1 and "not valid JSON" in err
 
 
+# A NaN threshold, intercept or target compares false with everything: before
+# these checks the prompt below scored 0.1667 and printed "class: standard".
+@pytest.mark.parametrize("value", [
+    pytest.param(float("nan"), id="nan"),
+    pytest.param(float("inf"), id="inf"),
+    pytest.param(10**400, id="int-beyond-float"),
+])
+def test_config_non_finite_threshold_domain_error(tmp_path, capsys, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"diluted_below": value}))
+    code, out, err = run_cli(capsys, "score", "--text", "Could you maybe please explain things?",
+                             "--config", str(path))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1 and "'diluted_below' must be a number" in err
+
+
+@pytest.mark.parametrize("name", ["intercept", "slope"])
+def test_backend_nan_param_domain_error(tmp_path, small_manifest, capsys, name):
+    backend = tmp_path / "backends.json"
+    backend.write_text(json.dumps([{"kind": "mock", "model": "m",
+                                    "params": {name: float("nan")}}]))
+    code, out, err = run_cli(capsys, "run", "--manifest", str(small_manifest),
+                             "--backend", str(backend))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1 and f"'params.{name}' must be a number" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--mock-intercept", "nan"), ("--mock-slope", "inf")])
+def test_mock_flag_non_finite_domain_error(small_manifest, capsys, flag, value):
+    code, out, err = run_cli(capsys, "run", "--manifest", str(small_manifest), flag, value)
+    assert code == 1
+    assert out == "" and err.count("\n") == 1 and f"{flag} must be a finite number" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param("sde", float("nan"), id="sde-nan"),
+    pytest.param("latency_ms", float("inf"), id="latency-inf"),
+    pytest.param("sde", 10**400, id="sde-int-beyond-float"),
+])
+def test_results_non_finite_number_domain_error(tmp_path, capsys, field, value):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps([{**_RECORD, field: value}]))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1 and f"{field!r} must be a number" in err
+
+
+@pytest.mark.parametrize("targets", ["nan,0.5", "0.5,inf"])
+def test_gradient_non_finite_target_domain_error(capsys, targets):
+    # "target": NaN is not JSON.
+    code, out, err = run_cli(capsys, "gradient", "--text", "Explain sorting.", "--targets",
+                             targets, "--json")
+    assert code == 1
+    assert out == "" and err.count("\n") == 1 and "targets must lie in (0, 1]" in err
+
+
+def test_http_unset_credential_fails_before_any_request(tmp_path, small_manifest, capsys,
+                                                        monkeypatch):
+    # Before, each trial recorded the missing key as its error, run exited 0
+    # and analyze read 0.0 everywhere.
+    monkeypatch.delenv("PROMPTDENSITY_TEST_KEY", raising=False)
+    backend = tmp_path / "backends.json"
+    backend.write_text(json.dumps([{"model": "m", "endpoint": "http://127.0.0.1:9/v1",
+                                    "credential_env": "PROMPTDENSITY_TEST_KEY"}]))
+    out_path = tmp_path / "r.json"
+    code, out, err = run_cli(capsys, "run", "--manifest", str(small_manifest),
+                             "--backend", str(backend), "--out", str(out_path))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1
+    assert "'PROMPTDENSITY_TEST_KEY' is unset" in err
+    assert not out_path.exists() and not (tmp_path / "r.json.partial").exists()
+
+
+def test_http_credential_not_a_string_domain_error(tmp_path, small_manifest, capsys):
+    # os.environ.get(5) raised a TypeError traceback.
+    backend = tmp_path / "backends.json"
+    backend.write_text(json.dumps([{"model": "m", "endpoint": "http://127.0.0.1:9/v1",
+                                    "credential_env": 5}]))
+    code, out, err = run_cli(capsys, "run", "--manifest", str(small_manifest),
+                             "--backend", str(backend))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1 and "'credential_env' must be a string" in err
+
+
 # ---------------------------------------------------------------------------
 # Any JSON document as an input file: exit 0 or 1, or a usage error
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from promptdensity import lexicon, rewrite, scoring, wordlists
 from promptdensity.errors import EmptyPromptError, LexiconFormatError, PromptDensityError
 from promptdensity.lexicon import Category, default_lexicon
 from promptdensity.rewrite import (
+    GradientVariant,
     Severity,
     densify,
     dilute,
@@ -406,6 +407,27 @@ def test_gradient_output_is_pinned(corpus):
     assert digest.hexdigest() == (
         "e77362780f317b0fd72310f3e83caa3957469c94cad70185eac90a830b9b405b"
     )
+
+
+def test_gradient_low_target_keeps_preambles(corpus):
+    # Far above a target of 0.05, the ladder keeps two preamble sentences
+    # before its hedges; pinned as the parent ladder gave it.
+    [variant] = gradient_variants(corpus[2], [0.05], seed=3)
+    assert variant.text.startswith("perhaps maybe possibly basically possibly Hi, sorry")
+    assert "Hey, possibly maybe I was" in variant.text
+    assert hashlib.sha256(variant.text.encode("utf-8")).hexdigest() == (
+        "9fe10db1f952307138fefca3dcb1e8ad33a1920d48ce48d08cb6fcbd188124cd"
+    )
+    assert (variant.achieved, variant.reachable) == (0.09999999999999999, True)
+
+
+def test_gradient_without_word_tokens_appends_hedges():
+    # Numbers and symbols only: each hedge goes after the text.
+    assert gradient_variants("12 + 30 = 42", [0.2, 0.5], seed=1) == [
+        GradientVariant(0.2, "12 + 30 = 42 maybe basically basically possibly just just possibly "
+                             "perhaps perhaps maybe somehow somehow possibly perhaps maybe", 0.25),
+        GradientVariant(0.5, "12 + 30 = 42 basically possibly just perhaps maybe", 0.5),
+    ]
 
 
 def test_gradient_unreachable_targets_reported():

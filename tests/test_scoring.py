@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from promptdensity import wordlists
 from promptdensity.errors import EmptyPromptError, PromptDensityError
 from promptdensity.lexicon import (
     NOISE_CATEGORIES,
@@ -15,8 +18,10 @@ from promptdensity.lexicon import (
     match_phrases,
 )
 from promptdensity.scoring import (
+    DEFAULT_CONFIG,
     DensityClass,
     LabelKind,
+    TokenLabel,
     analyze,
     classify_tokens,
     component_scores,
@@ -25,7 +30,7 @@ from promptdensity.scoring import (
     insert_word,
     stem,
 )
-from promptdensity.tokens import TokenKind, tokenize
+from promptdensity.tokens import Token, TokenKind, TokenSequence, tokenize
 
 from conftest import ARC_CLASSES, ARC_TARGETS
 
@@ -418,3 +423,170 @@ def test_insert_word_declines_a_split_phrase():
     assert insert_word(before, 3, "maybe") is None
     after = analyze("Name this kind maybe of rock.")
     assert after.labels[2].kind is LabelKind.SEMANTIC
+
+
+# ---------------------------------------------------------------------------
+# The label rules in one loop: the earlier helpers, kept verbatim as an oracle
+# ---------------------------------------------------------------------------
+
+_CATEGORY_LABELS = {
+    Category.FILLER: LabelKind.FILLER,
+    Category.HEDGE: LabelKind.HEDGE,
+    Category.META: LabelKind.META,
+    Category.TRANSITIONAL: LabelKind.TRANSITIONAL,
+}
+
+# Every possible label, built once; classify_tokens hands these out.
+_LABELS = {
+    (kind, redundant, concrete): TokenLabel(kind, redundant, concrete)
+    for kind in LabelKind
+    for redundant in (False, True)
+    for concrete in (False, True)
+}
+_FUNCTION_LABEL = _LABELS[LabelKind.FUNCTION, False, False]
+
+
+def _is_enum_label(tokens: tuple[Token, ...], idx: int) -> bool:
+    """A single capital letter directly followed by ``.``/``)``/``:`` is an
+    enumeration label (multiple-choice option), not the article or pronoun."""
+    tok = tokens[idx]
+    if len(tok.text) != 1 or not tok.text.isupper() or tok.text == "I":
+        return False
+    if idx + 1 >= len(tokens):
+        return False
+    nxt = tokens[idx + 1]
+    return nxt.kind is TokenKind.PUNCTUATION and nxt.text[0] in ".):" and nxt.start == tok.end
+
+
+def _sentence_initial(tokens: tuple[Token, ...], idx: int) -> bool:
+    if idx == 0:
+        return True
+    prev = tokens[idx - 1]
+    return prev.kind is TokenKind.PUNCTUATION and prev.text[-1] in ".?!:;"
+
+
+def _label_span(seq: TokenSequence, lo: int, hi: int, matches,
+                lex: Lexicon, config, seen_stems: set[str]) -> list[TokenLabel]:
+    """Labels of tokens [lo, hi). A semantic word whose stem is in
+    ``seen_stems`` is redundant, and its stem joins the set."""
+    tokens, lowered = seq.tokens, seq.lowered
+    by_match: dict[int, TokenLabel] = {}
+    for m in matches:
+        if m.start < hi and m.end > lo:
+            label = _LABELS[_CATEGORY_LABELS[m.category], False, False]
+            for i in range(m.start, m.end):
+                by_match[i] = label
+
+    units = lex.phrases(Category.UNIT)
+    suffixes = lex.phrases(Category.NOMINALIZATION_SUFFIX)
+    labels: list[TokenLabel] = []
+    for idx in range(lo, hi):
+        lower = lowered[idx]
+        if lower is None:
+            labels.append(_FUNCTION_LABEL)
+            continue
+        matched = by_match.get(idx)
+        if matched is not None:
+            labels.append(matched)
+            continue
+        tok = tokens[idx]
+        if (
+            tok.kind is TokenKind.WORD
+            and lower in config.function_words
+            and not _is_enum_label(tokens, idx)
+        ):
+            labels.append(_FUNCTION_LABEL)
+            continue
+
+        redundant = False
+        if tok.kind is TokenKind.WORD and len(tok.text) >= config.redundancy_min_len:
+            s = stem(tok.text)
+            redundant = s in seen_stems
+            seen_stems.add(s)
+
+        concrete = not redundant and _is_concrete(
+            tok, idx, tokens, lower, units, suffixes, config
+        )
+        labels.append(_LABELS[LabelKind.SEMANTIC, redundant, concrete])
+    return labels
+
+
+def _is_concrete(
+    tok: Token,
+    idx: int,
+    tokens: tuple[Token, ...],
+    lower: str,
+    units: frozenset[str],
+    suffixes: frozenset[str],
+    config,
+) -> bool:
+    if tok.kind in (TokenKind.NUMBER, TokenKind.MATH_SYMBOL):
+        return True
+    if lower in units:
+        return True
+    if tok.text[0].isupper() and not _sentence_initial(tokens, idx):
+        return True
+    if lower in config.abstract_words:
+        return False
+    word_stem = stem(lower)
+    if lower in config.nominalization_words or word_stem in config.nominalization_words:
+        return False
+    # The suffix must hang off a real stem ("density", not "city").
+    if any(
+        word_stem.endswith(suffix) and len(word_stem) >= len(suffix) + 3
+        for suffix in suffixes
+    ):
+        return False
+    return True
+
+
+# Option labels, ":"/";" before capitals, units, numbers, math symbols,
+# abstract words, nominalisations, suffix words and repeats, noise phrases,
+# plus any text; each rule's words are drawn often enough to meet it.
+_RULE_WORDS = [
+    sorted(default_lexicon().phrases(Category.UNIT)),
+    sorted(wordlists.NOMINALIZATION_VERBS),
+    sorted(wordlists.ABSTRACT_WORDS),
+    ["density", "city", "unity", "statement", "kindness", "sort", "sorts", "sorted", "sorting",
+     "gas", "gases", "I", "a", "A", "c", "the", "of", "is"],
+]
+_LABEL_PIECES = st.one_of(
+    st.sampled_from(_NOISE_PHRASES),
+    *(st.sampled_from(words) for words in _RULE_WORDS),
+    *(st.sampled_from(words).map(str.capitalize) for words in _RULE_WORDS),
+    st.sampled_from(["A.", "A)", "A:", "A .", "A :", "A )", "B)", "C:", "(A)", "a.", "I.", "I:"]),
+    st.sampled_from([": Paris", "; Density", "; Analysis", ":", ";", ".", "?", "!", "42", "3.5",
+                     "1,000", "-7", "+", "=", "∫", "x²", "12 km", "40 Km."]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6),
+)
+_LABEL_TEXT = st.lists(st.tuples(_LABEL_PIECES, _GAPS), min_size=1, max_size=30).map(_joined)
+_EXTRA_WORDS = st.lists(st.sampled_from(sum(_RULE_WORDS, [])).map(str.lower),
+                        max_size=4).map(frozenset)
+# "density", abstract by its suffix, is concrete as a unit.
+_EXTRA_UNIT = Lexicon({**default_lexicon().entries,
+                       Category.UNIT: default_lexicon().phrases(Category.UNIT) | {"density"}})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=_LABEL_TEXT,
+    min_len=st.integers(0, 4),
+    function_extra=_EXTRA_WORDS,
+    abstract_extra=_EXTRA_WORDS,
+    lex=st.sampled_from([default_lexicon(), _NO_HEDGES, _EXTRA_UNIT]),
+)
+def test_classify_tokens_equals_earlier_rules(text, min_len, function_extra, abstract_extra,
+                                              lex):
+    config = replace(
+        DEFAULT_CONFIG,
+        redundancy_min_len=min_len,
+        function_words=DEFAULT_CONFIG.function_words | function_extra,
+        abstract_words=DEFAULT_CONFIG.abstract_words | abstract_extra,
+    )
+    # The earlier config also carried the nominalisations the rules read.
+    earlier = SimpleNamespace(**vars(config),
+                              nominalization_words=frozenset(wordlists.NOMINALIZATION_VERBS))
+    seq = tokenize(text)
+    matches = match_phrases(seq, lex)
+    expected = tuple(_label_span(seq, 0, len(seq), matches, lex, earlier, set()))
+    assert classify_tokens(seq, lex, config) == expected

@@ -10,9 +10,12 @@ then runs the same matrix of ``promptdensity`` commands against each tree,
 each tree in its own Python subprocess: score, lint, densify, gradient
 (also at five seeds with targets from 0.05, where preambles are inserted,
 to 1.0, often out of reach, on each text and on all texts joined into
-one), validate --strict, run (stdout, and --out with the results and .partial
-files), analyze (text, --csv, --json) and mcnemar at several thresholds
-and condition pairs. Timestamps and temporary paths are masked. It prints
+one), score, lint, densify and gradient again under two --config files
+(redundancy_min_len 0 and 4, extra function and abstract words, moved
+class thresholds) and under a --lexicon with no HEDGE entries and extra
+UNIT entries, validate --strict, run (stdout, and --out with the results
+and .partial files), analyze (text, --csv, --json) and mcnemar at several
+thresholds and condition pairs. Timestamps and temporary paths are masked. It prints
 how many outputs are identical and how many differ, with the first
 differing lines of each difference, and exits 1 if any differ.
 
@@ -43,6 +46,12 @@ TWO_MOCKS = [
     {"kind": "mock", "model": "mock-a"},
     {"kind": "mock", "model": "mock-b", "params": {"intercept": -1.0, "slope": 2.5}},
 ]
+# Extra words that occur in the fixtures, and thresholds off the defaults.
+CONFIG = {"function_words_extra": ["list", "reply", "integer"],
+          "abstract_words_extra": ["Water", "french", "gold"],
+          "diluted_below": 0.3, "dense_from": 0.5, "ultra_above": 0.7}
+# Fixture words that are abstract ("-ence") or plain without these entries.
+EXTRA_UNITS = ("science", "plants", "moons")
 
 
 def _subprocess(tree: str, *args: str) -> None:
@@ -95,6 +104,14 @@ def prepare(tree: str, inputs: str) -> None:
             fh.write(text)
     with open(os.path.join(inputs, "long_joined.txt"), "w", encoding="utf-8") as fh:
         fh.write(" ".join(texts))
+    for min_len in (0, 4):
+        _write_json(os.path.join(inputs, f"config_min{min_len}.json"),
+                    {**CONFIG, "redundancy_min_len": min_len})
+    with open(os.path.join(tree, "src", "promptdensity", "data", "lexicon.txt"),
+              encoding="utf-8") as fh:
+        lines = [line for line in fh if not line.startswith("HEDGE")]
+    with open(os.path.join(inputs, "lexicon_no_hedges.txt"), "w", encoding="utf-8") as fh:
+        fh.writelines(lines + [f"UNIT\t{unit}\n" for unit in EXTRA_UNITS])
     manifest = _write_json(os.path.join(inputs, "manifest40.json"),
                            manifest_to_json(make_synthetic_manifest(40, seed=2)))
     backends = _write_json(os.path.join(inputs, "two_mocks.json"), TWO_MOCKS)
@@ -156,6 +173,13 @@ def collect(tree: str, inputs: str, outdir: str, report: str) -> None:
         path = os.path.join(inputs, name)
         for command in ("score", "lint", "densify", "gradient"):
             cases += [([command, path], None), ([command, path, "--json"], None)]
+    settings = [["--config", os.path.join(inputs, f"config_min{n}.json")] for n in (0, 4)]
+    settings.append(["--lexicon", os.path.join(inputs, "lexicon_no_hedges.txt")])
+    for name in texts:
+        path = os.path.join(inputs, name)
+        for setting in settings:
+            for command in ("score", "lint", "densify", "gradient"):
+                cases.append(([command, path, "--json", *setting], None))
     for name in texts + ["long_joined.txt"]:
         path = os.path.join(inputs, name)
         for seed in GRADIENT_SEEDS:
