@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from urllib.parse import urlsplit
 
 from .errors import ManifestError, PromptDensityError
 from .harness import (
@@ -69,6 +70,17 @@ def _is_path(value) -> bool:
     except UnicodeError:
         return False
     return True
+
+
+def _is_http_url(value) -> bool:
+    """Whether a JSON value is an http:// or https:// URL with a host."""
+    if not isinstance(value, str):
+        return False
+    try:
+        parts = urlsplit(value)
+    except ValueError:  # such as an unclosed IPv6 bracket
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 def _read_text(args) -> str:
@@ -296,10 +308,14 @@ def _parse_backends(args) -> list:
         credential = entry.get("credential_env")
         if credential is not None and not isinstance(credential, str):
             raise PromptDensityError(f"{where} 'credential_env' must be a string")
+        endpoint = entry.get("endpoint")
+        if kind is BackendKind.HTTP_CHAT and not _is_http_url(endpoint):
+            raise PromptDensityError(f"{where} 'endpoint' must be an http:// or https:// URL "
+                                     "with a host")
         descriptor = BackendDescriptor(
             kind=kind,
             model_id=entry["model"],
-            endpoint=entry.get("endpoint"),
+            endpoint=endpoint,
             credential_env=credential,
             params=params,
             rate_limit_rpm=rpm,

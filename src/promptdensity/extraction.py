@@ -6,6 +6,7 @@ response with no extractable answer is coded incorrect.
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -78,18 +79,21 @@ def extract_integer(response: str) -> int | None:
     return int(Decimal(literal).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
 
 
-_NON_ALNUM_RE = re.compile(r"[^0-9a-z]+")
-
-
-def _normalize(text: str) -> list[str]:
-    return [w for w in _NON_ALNUM_RE.sub(" ", text.lower()).split() if w]
+def answer_words(text: str) -> list[str]:
+    """The words of an exact-string answer, in any script: case-folded runs
+    of letters and digits with the marks that combine with them, composed
+    canonically. Punctuation, symbols and ``_`` separate words."""
+    folded = unicodedata.normalize("NFC", text.casefold())
+    kept = "".join(c if c.isalnum() or unicodedata.category(c)[0] == "M" else " " for c in folded)
+    return [word for word in kept.split() if any(c.isalnum() for c in word)]
 
 
 def match_exact(response: str, truth: str) -> bool:
     """Case-insensitive, punctuation-stripped whole-phrase containment of
-    the ground truth in the response."""
-    needle = _normalize(truth)
-    haystack = _normalize(response)
+    the ground truth in the response. A truth with no words matches
+    nothing."""
+    needle = answer_words(truth)
+    haystack = answer_words(response)
     if not needle or len(needle) > len(haystack):
         return False
     for i in range(len(haystack) - len(needle) + 1):

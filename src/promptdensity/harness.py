@@ -4,10 +4,13 @@ Every (model, item, condition, run) is issued exactly once and scored with
 the deterministic extractor. Each distinct prompt text is scored once
 before any request is sent. Then one worker thread per backend (at most
 ``MAX_WORKERS`` at a time) walks the task list in order, so every backend
-has one request in flight and waits on different backends overlap. The
-calling thread alone appends each finished trial to a crash-resumable
-partial file, in completion order, and calls ``progress``. The final
-results file is a JSON array sorted by record key.
+has one request in flight and waits on different backends overlap. An HTTP
+trial that must back off before a retry does not hold up its backend: the
+worker sets it aside, sends the later trials, and sends the retry once the
+backoff has passed, never sooner. The calling thread alone appends each
+finished trial to a crash-resumable partial file, in completion order, and
+calls ``progress``. The final results file is a JSON array sorted by record
+key.
 
 The mock backend answers correctly with probability
 sigmoid(intercept + slope * prompt_score), deterministically per request
@@ -29,7 +32,7 @@ from datetime import datetime, timezone
 from enum import Enum
 
 from .errors import ManifestError, PromptDensityError
-from .extraction import AnswerFormat, score_response
+from .extraction import AnswerFormat, answer_words, score_response
 from .lexicon import Lexicon
 from .rewrite import dilute
 from .scoring import DEFAULT_CONFIG, ScoreConfig, analyze
@@ -40,6 +43,8 @@ KNOWN_CONDITIONS = ("diluted", "standard", "ultra_dense", "ultra_dense_ipe", "pa
 _GRADIENT_RE = re.compile(r"gradient_[0-9a-z_.]+")
 # Most backend workers run_experiment keeps busy at once.
 MAX_WORKERS = 8
+# Longest sleep a worker takes before it checks whether the run has stopped.
+_STOP_POLL_S = 0.1
 
 
 class BackendKind(Enum):
@@ -266,9 +271,13 @@ class HttpChatBackend:
                     return usage[key]
         return len(text.split())
 
-    def complete(
-        self, item: BenchmarkItem, condition: str, run: int, prompt: str, sde: float
-    ) -> tuple[str, float, int]:
+    def attempts(self, item: BenchmarkItem, condition: str, run: int, prompt: str, sde: float):
+        """The requests of one trial, one paced request per step.
+
+        Yields the backoff in seconds before each retry, and returns
+        ``(reply, latency_ms, output_tokens)``. Raises PromptDensityError on
+        a permanent failure and after ``max_retries`` attempts.
+        """
         payload = {
             "model": self.descriptor.model_id,
             "messages": [{"role": "user", "content": prompt}],
@@ -278,6 +287,9 @@ class HttpChatBackend:
         delay = 1.0
         last_error = "request failed"
         for attempt in range(self.descriptor.max_retries):
+            if attempt:
+                yield delay
+                delay *= 2.0
             self._pace()
             started = time.monotonic()
             try:
@@ -293,10 +305,18 @@ class HttpChatBackend:
                 return text, round(latency, 1), self._parse_tokens(body, text)
             if status is not None:
                 last_error = f"HTTP {status}"
-            if attempt + 1 < self.descriptor.max_retries:
-                self.sleep(delay)
-                delay *= 2.0
         raise PromptDensityError(f"backend gave up after retries: {last_error}")
+
+    def complete(
+        self, item: BenchmarkItem, condition: str, run: int, prompt: str, sde: float
+    ) -> tuple[str, float, int]:
+        """One trial, sleeping out each backoff."""
+        steps = self.attempts(item, condition, run, prompt, sde)
+        try:
+            while True:
+                self.sleep(next(steps))
+        except StopIteration as done:
+            return done.value
 
 
 def build_backend(descriptor: BackendDescriptor, seed: int = 0, transport=None):
@@ -368,6 +388,10 @@ def validate_manifest(
             except ValueError:
                 issues.append(f"{where}: integer ground_truth is not an integer")
                 continue
+        if answer_format is AnswerFormat.EXACT_STRING and not answer_words(ground_truth):
+            # match_exact would score every reply wrong.
+            issues.append(f"{where}: exact_string ground_truth has no letters or digits")
+            continue
         variants = raw.get("variants")
         if not isinstance(variants, dict) or not variants:
             issues.append(f"{where}: variants must be a non-empty map")
@@ -515,8 +539,12 @@ def run_experiment(
     """Run every (model, item, condition, run) once and return the records.
 
     Backends run concurrently, one worker thread each, so their model ids
-    must be distinct. ``progress(task_index, task_count, record)`` is called
-    on the calling thread as each trial finishes.
+    must be distinct. A backend with an ``attempts`` generator (see
+    ``HttpChatBackend``) has a trial that backs off set aside while its
+    worker sends the next ones, and waits out the last backoffs through its
+    ``sleep``; any other backend runs each trial in one ``complete`` call.
+    ``progress(task_index, task_count, record)`` is called on the calling
+    thread as each trial finishes.
 
     With ``out_path`` each completed trial is appended to a ``.partial``
     sidecar immediately; ``resume`` skips keys already present there, so a
@@ -565,8 +593,11 @@ def run_experiment(
 
     # Execute: one worker per backend walks the tasks in order, so each
     # backend has one request in flight and its pacing and retry state
-    # stay on one thread. Workers only wait on their backend. Imported
-    # here so that commands other than `run` start without them.
+    # stay on one thread. Workers only wait on their backend. A trial that
+    # must back off is parked, and the worker sends later trials until its
+    # retry is due. Imported here so that commands other than `run` start
+    # without them.
+    import heapq
     import queue
     from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -575,17 +606,49 @@ def run_experiment(
 
     def work(backend) -> None:
         model = backend.descriptor.model_id
-        for task_index, (item, condition, run) in enumerate(tasks):
-            if stop.is_set():
-                return
-            if (model, item.benchmark, item.item_id, condition, run) in done:
-                continue
-            prompt = item.variants[condition]
+        parked: list = []  # (due, task index, steps) of trials backing off
+
+        def whole_trial(*trial):
+            """A backend without ``attempts`` runs a trial in one call."""
+            return backend.complete(*trial)
+            yield  # a generator that never backs off
+
+        attempts = getattr(backend, "attempts", whole_trial)
+
+        def advance(task_index, steps) -> None:
+            """Send the trial's next request, and park it if it backs off."""
             try:
-                reply, error = backend.complete(item, condition, run, prompt, scores[prompt]), None
+                delay = next(steps)
+            except StopIteration as done:
+                reply, error = done.value, None
             except PromptDensityError as exc:
                 reply, error = ("", 0.0, 0), str(exc)
+            else:
+                heapq.heappush(parked, (time.monotonic() + delay, task_index, steps))
+                return
             finished.put((task_index, model, reply, error))
+
+        for task_index, (item, condition, run) in enumerate(tasks):
+            if (model, item.benchmark, item.item_id, condition, run) in done:
+                continue
+            while parked and parked[0][0] <= time.monotonic() and not stop.is_set():
+                _, index, steps = heapq.heappop(parked)
+                advance(index, steps)
+            if stop.is_set():
+                return
+            prompt = item.variants[condition]
+            advance(task_index, attempts(item, condition, run, prompt, scores[prompt]))
+        # No new trial is left: wait out each backoff through the backend's
+        # sleep, in slices, so that a stopped run does not sleep it out.
+        while parked:
+            due, index, steps = heapq.heappop(parked)
+            wait = due - time.monotonic()
+            while wait > 0 and not stop.is_set():
+                backend.sleep(min(wait, _STOP_POLL_S))
+                wait -= _STOP_POLL_S
+            if stop.is_set():
+                return
+            advance(index, steps)
 
     # Sink: this thread alone scores replies, appends to the partial file
     # and reports progress; a finished worker's future arrives on the same

@@ -687,3 +687,22 @@ def test_any_results_file_exits_cleanly(workdir, results):
 def test_any_prompt_bytes_exit_cleanly(workdir, prompt):
     (workdir / "prompt.txt").write_bytes(prompt)
     _exits_cleanly(workdir, ["score", "prompt.txt"])
+
+
+@pytest.mark.parametrize("endpoint", [5, None, "not a url", "ftp://example.com/v1", "https://",
+                                      "http:///v1", "http://[::1/v1", ["https://example.com"]])
+def test_http_endpoint_must_be_an_http_url(tmp_path, small_manifest, capsys, monkeypatch,
+                                           endpoint):
+    # Before, "endpoint": 5 gave one error record per trial ("Invalid URL
+    # '5': No scheme supplied"), each after its retries, and exit 0.
+    monkeypatch.setenv("PROMPTDENSITY_TEST_KEY", "k")
+    backend = tmp_path / "backends.json"
+    backend.write_text(json.dumps([{"model": "m", "endpoint": endpoint, "max_retries": 1,
+                                    "credential_env": "PROMPTDENSITY_TEST_KEY"}]))
+    out_path = tmp_path / "r.json"
+    code, out, err = run_cli(capsys, "run", "--manifest", str(small_manifest),
+                             "--backend", str(backend), "--out", str(out_path))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1
+    assert "'endpoint' must be an http:// or https:// URL with a host" in err
+    assert not out_path.exists() and not (tmp_path / "r.json.partial").exists()

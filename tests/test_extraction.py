@@ -131,3 +131,28 @@ def test_no_extraction_is_incorrect():
         assert outcome.correct is False
         if outcome.method is ExtractionMethod.NONE:
             assert outcome.extracted is None
+
+
+@pytest.mark.parametrize("response,truth,expected", [
+    # Before, only [0-9a-z] counted as word characters, so these truths had
+    # no words and no reply could match them.
+    ("The answer is 東京.", "東京", True),
+    ("Ответ: Москва", "Москва", True),
+    ("Ответ: Минск", "Москва", False),
+    ("उत्तर: हिन्दी", "हिन्दी", True),
+    ("उत्तर: का", "की", False),  # vowel signs are part of the word
+    ("It is Zürich.", "ZÜRICH", True),
+    ("It is Zurich.", "Zürich", False),  # before, "Zürich" was the words "z rich"
+    ("It is Zu\u0308rich.", "Z\u00fcrich", True),  # decomposed and composed forms
+    ("STRASSE", "Straße", True),  # case folding, not lowercasing
+    ("snake_case", "snake case", True),
+])
+def test_exact_match_in_any_script(response, truth, expected):
+    assert match_exact(response, truth) is expected
+
+
+def test_exact_match_of_a_truth_without_words_is_false():
+    # Without the empty-needle guard an empty truth would be found in every reply.
+    assert match_exact("!!!", "!!!") is False
+    assert match_exact("The answer is —.", "—") is False
+    assert match_exact("a \u0301", "\u0301") is False  # a lone combining mark is no word

@@ -8,13 +8,16 @@ import math
 import sys
 import tempfile
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from promptdensity import harness
 from promptdensity.errors import ManifestError, PromptDensityError
 from promptdensity.extraction import AnswerFormat
 from promptdensity.harness import (
@@ -686,3 +689,208 @@ def test_http_rate_limit_pacing():
     backend.complete(item, "standard", 0, "p", 0.5)
     backend.complete(item, "standard", 1, "p", 0.5)
     assert sleeps and sleeps[0] <= 0.1  # 600 rpm -> 0.1s interval
+
+
+# ---------------------------------------------------------------------------
+# A trial that backs off is set aside while its backend sends the next ones
+# ---------------------------------------------------------------------------
+
+def distinct_prompt_items(n):
+    """Items whose variants all differ, so a transport tells trials apart by
+    their prompt when each runs once."""
+    return [
+        BenchmarkItem(f"q{i:02d}", "bench", AnswerFormat.INTEGER, "1",
+                      {"standard": f"Question {i}, standard.", "diluted": f"Question {i}, diluted."})
+        for i in range(n)
+    ]
+
+
+def _prompt(payload) -> str:
+    return payload["messages"][0]["content"]
+
+
+def test_retry_goes_out_after_the_later_trials_of_its_backend():
+    # Before, the worker slept out the backoff and sent the retry straight
+    # after the failure, so every later trial of the backend waited too.
+    sent: list[str] = []
+
+    def transport(url, headers, payload):
+        sent.append(_prompt(payload))
+        if len(sent) == 1:
+            return 503, {"error": "overloaded"}
+        return 200, {"text": "The answer is 1."}
+
+    backend = HttpChatBackend(http_descriptor(), transport=transport, sleep=lambda _t: None)
+    records = run_experiment(distinct_prompt_items(4), [backend], runs_per_item=1)
+    assert [r.error for r in records if r.error] == []
+    assert len(sent) == len(records) + 1
+    assert sent[-1] == sent[0] and sent[0] not in sent[1:-1]
+
+
+def test_retry_never_goes_out_before_its_backoff_on_the_real_clock():
+    # 24 trials of 50 ms each. The first trial's retry is due while later
+    # trials are still going out; the eleventh's is due after the last of
+    # them, so the worker sleeps for it.
+    calls: list[tuple[str, float, float, int]] = []
+    failing = {"Question 0, diluted.", "Question 5, diluted."}
+
+    def transport(url, headers, payload):
+        started = time.monotonic()
+        time.sleep(0.05)
+        prompt = _prompt(payload)
+        status = 503 if prompt in failing and all(c[0] != prompt for c in calls) else 200
+        calls.append((prompt, started, time.monotonic(), status))
+        return status, {"text": "The answer is 1."}
+
+    backend = HttpChatBackend(http_descriptor(), transport=transport)
+    records = run_experiment(distinct_prompt_items(12), [backend], runs_per_item=1)
+    assert len(records) == 24 and [r.error for r in records if r.error] == []
+    assert len(calls) == 26
+    positions = []
+    for prompt in sorted(failing):
+        failed, retry = [n for n, call in enumerate(calls) if call[0] == prompt]
+        assert calls[failed][3] == 503 and calls[retry][3] == 200
+        assert calls[retry][1] - calls[failed][2] >= 1.0
+        positions.append(retry)
+    assert positions[0] < len(calls) - 2 and positions[1] == len(calls) - 1
+
+
+def test_stopped_run_does_not_wait_out_parked_backoffs():
+    # The first trial fails every attempt, so it would back off 1 + 2 s
+    # before giving up; the sink fails on the first finished trial.
+    sent: list[str] = []
+
+    def transport(url, headers, payload):
+        sent.append(_prompt(payload))
+        if _prompt(payload) == sent[0]:
+            return 503, {"error": "overloaded"}
+        return 200, {"text": "The answer is 1."}
+
+    def progress(task_index, task_count, record):
+        raise RuntimeError("sink failed")
+
+    backend = HttpChatBackend(http_descriptor(max_retries=3), transport=transport)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="sink failed"):
+        run_experiment(distinct_prompt_items(2), [backend], runs_per_item=1, progress=progress)
+    assert time.monotonic() - started < 0.5
+    assert sent.count(sent[0]) == 1
+
+
+class FakeClock:
+    """A monotonic clock that moves only when a transport call or a sleep
+    moves it; backends on several threads share it."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._lock = threading.Lock()
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        with self._lock:
+            self.now += seconds
+
+
+_ATTEMPT = st.sampled_from(["ok", "ok", "503", "429", "raise", "400", "junk"])
+
+
+def _scheduled_transport(schedule, clock, latency, log):
+    """A transport whose k-th attempt at a (model, prompt) does what
+    ``schedule`` says, "ok" after the schedule runs out. ``log`` gets
+    (model, prompt, start, end) per attempt."""
+
+    def transport(url, headers, payload):
+        key = (payload["model"], _prompt(payload))
+        attempt = sum(1 for entry in log if entry[:2] == key)
+        start = clock.now
+        clock.sleep(latency[payload["model"]])
+        log.append((*key, start, clock.now))
+        planned = schedule.get(key, [])
+        outcome = planned[attempt] if attempt < len(planned) else "ok"
+        if outcome == "raise":
+            raise ConnectionError(f"connection reset on attempt {attempt}")
+        if outcome == "junk":
+            return 200, {"id": "no reply text"}
+        if outcome != "ok":
+            return int(outcome), {"error": f"attempt {attempt}"}
+        return 200, {"choices": [{"message": {"content": f"The answer is {attempt}."}}],
+                     "usage": {"completion_tokens": 3 + attempt}}
+
+    return transport
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), max_retries=st.integers(1, 4),
+       latencies=st.lists(st.sampled_from([0.0, 0.3, 0.7]), min_size=1, max_size=2))
+def test_parked_retries_give_the_records_of_complete_called_in_turn(data, max_retries, latencies):
+    items = distinct_prompt_items(3)
+    models = [f"remote-{n}" for n in range(len(latencies))]
+    latency = dict(zip(models, latencies))
+    prompts = [text for item in items for text in item.variants.values()]
+    schedule = {(model, prompt): data.draw(st.lists(_ATTEMPT, max_size=4))
+                for model in models for prompt in prompts}
+
+    def backends(clock, log):
+        transport = _scheduled_transport(schedule, clock, latency, log)
+        return [HttpChatBackend(http_descriptor(model_id=model, max_retries=max_retries),
+                                transport=transport, sleep=clock.sleep) for model in models]
+
+    clock, log = FakeClock(), []
+    with mock.patch.object(harness, "time", clock):
+        records = run_experiment(items, backends(clock, log), runs_per_item=1)
+    got = {r.key: (r.correct, r.response, r.error, r.output_tokens) for r in records}
+
+    expected, in_turn_log = {}, []
+    for backend in backends(FakeClock(), in_turn_log):
+        for item in items:
+            for condition, prompt in item.variants.items():
+                try:
+                    response, _, tokens = backend.complete(item, condition, 0, prompt, 0.5)
+                    error = None
+                except PromptDensityError as exc:
+                    response, tokens, error = "", 0, str(exc)
+                correct = error is None and response == "The answer is 1."
+                key = (backend.descriptor.model_id, item.benchmark, item.item_id, condition, 0)
+                expected[key] = (correct, response, error, tokens)
+    assert got == expected
+    attempts = lambda entries: sorted(entry[:2] for entry in entries)
+    assert attempts(log) == attempts(in_turn_log)
+    # Each retry went out no sooner than its backoff after the failed attempt.
+    for key in {entry[:2] for entry in log}:
+        times = [entry[2:] for entry in log if entry[:2] == key]
+        for n, ((_, failed_end), (retry_start, _)) in enumerate(zip(times, times[1:])):
+            assert retry_start - failed_end >= 2.0 ** n - 1e-9
+
+
+def test_validate_rejects_exact_string_truth_without_words():
+    # match_exact finds no words in such a truth, so every trial scored wrong.
+    raw = {"items": [
+        {"id": f"q{n}", "benchmark": "b", "answer_format": "exact_string", "ground_truth": truth,
+         "variants": {"standard": "Who?"}}
+        for n, truth in enumerate(["!!!", "—", "東京", "Москва"])
+    ]}
+    items, issues = validate_manifest(raw)
+    assert issues == ["q0: exact_string ground_truth has no letters or digits",
+                      "q1: exact_string ground_truth has no letters or digits"]
+    assert [item.ground_truth for item in items] == ["東京", "Москва"]
+
+
+def test_mock_success_probability_is_the_logistic_of_its_logit():
+    # Not saturated: the success probability is about 0.31, so a scaled
+    # logit moves some of these 600 keys to the other side.
+    intercept, slope, sde, seed = -1.5, 2.5, 0.28, 7
+    backend = MockBackend(mock_descriptor(intercept=intercept, slope=slope), seed=seed)
+    p_success = harness._sigmoid(intercept + slope * sde)
+    assert 0.2 < p_success < 0.4
+    hits = 0
+    for item in make_synthetic_manifest(100, seed=4):
+        for condition in ("standard", "diluted"):
+            for run in range(3):
+                text, _, _ = backend.complete(item, condition, run, "x", sde)
+                key = (seed, "mock-1", item.benchmark, item.item_id, condition, run)
+                correct = harness._stable_uniform(*key, "outcome") < p_success
+                assert (text == f"The answer is {item.ground_truth}.") is correct
+                hits += correct
+    assert 0.25 < hits / 600 < 0.37

@@ -14,7 +14,8 @@ one), score, lint, densify and gradient again under two --config files
 (redundancy_min_len 0 and 4, extra function and abstract words, moved
 class thresholds) and under a --lexicon with no HEDGE entries and extra
 UNIT entries, validate --strict, run (stdout, and --out with the results
-and .partial files), analyze (text, --csv, --json) and mcnemar at several
+and .partial files), run --resume from a .partial file cut to its first
+lines and half a line, analyze (text, --csv, --json) and mcnemar at several
 thresholds and condition pairs. Timestamps and temporary paths are masked. It prints
 how many outputs are identical and how many differ, with the first
 differing lines of each difference, and exits 1 if any differ.
@@ -52,6 +53,14 @@ CONFIG = {"function_words_extra": ["list", "reply", "integer"],
           "diluted_below": 0.3, "dense_from": 0.5, "ultra_above": 0.7}
 # Fixture words that are abstract ("-ence") or plain without these entries.
 EXTRA_UNITS = ("science", "plants", "moons")
+# Lines of the two-model run's 480-line .partial file that a resumed run
+# starts from: all of one model's and some of the other's.
+RESUME_KEPT = 300
+
+
+def _two_model_run(inputs: str) -> list[str]:
+    """The backends, run count and seed of the two-model run."""
+    return ["--backend", os.path.join(inputs, "two_mocks.json"), "--runs", "2", "--seed", "3"]
 
 
 def _subprocess(tree: str, *args: str) -> None:
@@ -114,16 +123,23 @@ def prepare(tree: str, inputs: str) -> None:
         fh.writelines(lines + [f"UNIT\t{unit}\n" for unit in EXTRA_UNITS])
     manifest = _write_json(os.path.join(inputs, "manifest40.json"),
                            manifest_to_json(make_synthetic_manifest(40, seed=2)))
-    backends = _write_json(os.path.join(inputs, "two_mocks.json"), TWO_MOCKS)
+    _write_json(os.path.join(inputs, "two_mocks.json"), TWO_MOCKS)
 
     base = os.path.join(inputs, "results_base.json")
     multi = os.path.join(inputs, "results_two_models.json")
     for argv in (["run", "--manifest", manifest, "--out", base],
-                 ["run", "--manifest", manifest, "--backend", backends, "--runs", "2",
-                  "--seed", "3", "--out", multi]):
+                 ["run", "--manifest", manifest, *_two_model_run(inputs), "--out", multi]):
         if _call(cli, argv)["code"] != 0:
             sys.exit(f"parent tree failed: {argv}")
-        os.remove(argv[-1] + ".partial")
+    # The partial file of a killed run: its first lines in key order, then
+    # the first half of the next line.
+    with open(multi + ".partial", encoding="utf-8") as fh:
+        lines = sorted(fh)
+    with open(os.path.join(inputs, "resume.partial"), "w", encoding="utf-8") as fh:
+        fh.writelines(lines[:RESUME_KEPT])
+        fh.write(lines[RESUME_KEPT][:len(lines[RESUME_KEPT]) // 2])
+    for path in (base, multi):
+        os.remove(path + ".partial")
     with open(base, encoding="utf-8") as fh:
         records = json.load(fh)
     # Missing records and errored trials, as a run with failing backends leaves them.
@@ -195,6 +211,10 @@ def collect(tree: str, inputs: str, outdir: str, report: str) -> None:
             out = os.path.join(outdir, f"{manifest[:-5]}_{label}.json")
             cases.append((["run", "--manifest", path, *backend, "--seed", "1", "--out", out], out))
             cases += [(argv, None) for argv in _results_cases(out)]
+    resumed = os.path.join(outdir, "resumed.json")
+    shutil.copy(os.path.join(inputs, "resume.partial"), resumed + ".partial")
+    cases.append((["run", "--manifest", os.path.join(inputs, "manifest40.json"),
+                   *_two_model_run(inputs), "--resume", "--out", resumed], resumed))
     for name in results:
         cases += [(argv, None) for argv in _results_cases(os.path.join(inputs, name))]
 
