@@ -79,11 +79,17 @@ def extract_integer(response: str) -> int | None:
     return int(Decimal(literal).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
 
 
+_ASCII_WORD_RE = re.compile(r"[0-9a-z]+")
+
+
 def answer_words(text: str) -> list[str]:
     """The words of an exact-string answer, in any script: case-folded runs
     of letters and digits with the marks that combine with them, composed
     canonically. Punctuation, symbols and ``_`` separate words."""
-    folded = unicodedata.normalize("NFC", text.casefold())
+    folded = text.casefold()
+    if folded.isascii():  # the same words, without a loop over characters
+        return _ASCII_WORD_RE.findall(folded)
+    folded = unicodedata.normalize("NFC", folded)
     kept = "".join(c if c.isalnum() or unicodedata.category(c)[0] == "M" else " " for c in folded)
     return [word for word in kept.split() if any(c.isalnum() for c in word)]
 

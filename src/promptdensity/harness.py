@@ -5,9 +5,13 @@ the deterministic extractor. Each distinct prompt text is scored once
 before any request is sent. Then one worker thread per backend (at most
 ``MAX_WORKERS`` at a time) walks the task list in order, so every backend
 has one request in flight and waits on different backends overlap. An HTTP
-trial that must back off before a retry does not hold up its backend: the
-worker sets it aside, sends the later trials, and sends the retry once the
-backoff has passed, never sooner. The calling thread alone appends each
+trial that must back off after a 5xx or a transport error does not hold up
+its backend: the worker sets it aside, sends the later trials, and sends the
+retry once the backoff has passed, never sooner. If a second trial fails
+while one is set aside, the backend is taken to be down: the worker sends
+no new trial and retries one trial at a time, as a lone trial would, until
+a request gets a reply. A 429 asks the client as a whole to slow down, so
+its backoff holds up the backend. The calling thread alone appends each
 finished trial to a crash-resumable partial file, in completion order, and
 calls ``progress``. The final results file is a JSON array sorted by record
 key.
@@ -218,6 +222,10 @@ class HttpChatBackend:
     sent when the descriptor sets it, leaving the provider default intact.
     Credentials come from the environment variable named in the
     descriptor, never from files or argv.
+
+    ``run_experiment`` sends each trial through ``attempts``, not
+    ``complete``, so a subclass that changes how a trial is sent must
+    override ``attempts``; ``complete`` only sleeps out its backoffs.
     """
 
     def __init__(self, descriptor: BackendDescriptor, transport=None, sleep=time.sleep):
@@ -274,9 +282,11 @@ class HttpChatBackend:
     def attempts(self, item: BenchmarkItem, condition: str, run: int, prompt: str, sde: float):
         """The requests of one trial, one paced request per step.
 
-        Yields the backoff in seconds before each retry, and returns
-        ``(reply, latency_ms, output_tokens)``. Raises PromptDensityError on
-        a permanent failure and after ``max_retries`` attempts.
+        Yields the backoff in seconds before each retry after a 5xx or a
+        transport error; after a 429 it sleeps the backoff itself, since the
+        provider asks for the whole backend to slow down. Returns ``(reply,
+        latency_ms, output_tokens)``. Raises PromptDensityError on a
+        permanent failure and after ``max_retries`` attempts.
         """
         payload = {
             "model": self.descriptor.model_id,
@@ -288,7 +298,10 @@ class HttpChatBackend:
         last_error = "request failed"
         for attempt in range(self.descriptor.max_retries):
             if attempt:
-                yield delay
+                if status == 429:
+                    self.sleep(delay)
+                else:
+                    yield delay
                 delay *= 2.0
             self._pace()
             started = time.monotonic()
@@ -541,8 +554,9 @@ def run_experiment(
     Backends run concurrently, one worker thread each, so their model ids
     must be distinct. A backend with an ``attempts`` generator (see
     ``HttpChatBackend``) has a trial that backs off set aside while its
-    worker sends the next ones, and waits out the last backoffs through its
-    ``sleep``; any other backend runs each trial in one ``complete`` call.
+    worker sends the next ones, and waits for a retry that is due later
+    through its ``sleep``; any other backend runs each trial in one
+    ``complete`` call.
     ``progress(task_index, task_count, record)`` is called on the calling
     thread as each trial finishes.
 
@@ -593,11 +607,8 @@ def run_experiment(
 
     # Execute: one worker per backend walks the tasks in order, so each
     # backend has one request in flight and its pacing and retry state
-    # stay on one thread. Workers only wait on their backend. A trial that
-    # must back off is parked, and the worker sends later trials until its
-    # retry is due. Imported here so that commands other than `run` start
-    # without them.
-    import heapq
+    # stay on one thread. Workers only wait on their backend. Imported
+    # here so that commands other than `run` start without them.
     import queue
     from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -606,49 +617,58 @@ def run_experiment(
 
     def work(backend) -> None:
         model = backend.descriptor.model_id
-        parked: list = []  # (due, task index, steps) of trials backing off
+        pending = (
+            (task_index, task) for task_index, task in enumerate(tasks)
+            if (model, task[0].benchmark, task[0].item_id, task[1], task[2]) not in done
+        )
+        task = next(pending, None)
+        # A trial that backs off is parked as (due, task index, steps). A
+        # trial that fails while another is parked puts the backend on
+        # hold until a reply: no new trial, and only the oldest parked
+        # trial is retried, so a backend that is down sees the requests a
+        # lone trial would send.
+        parked: list = []
+        hold = False
 
-        def whole_trial(*trial):
-            """A backend without ``attempts`` runs a trial in one call."""
-            return backend.complete(*trial)
-            yield  # a generator that never backs off
+        attempts = getattr(backend, "attempts", None)
 
-        attempts = getattr(backend, "attempts", whole_trial)
-
-        def advance(task_index, steps) -> None:
-            """Send the trial's next request, and park it if it backs off."""
+        def advance(task_index, steps, trial=()) -> None:
+            """Send the trial's next request through ``steps``, and park the
+            trial if it backs off. A backend without ``attempts`` has no
+            steps: it runs the whole ``trial`` in one ``complete`` call."""
+            nonlocal hold
             try:
-                delay = next(steps)
+                if steps is None:
+                    reply, error = backend.complete(*trial), None
+                else:
+                    delay = next(steps)
+                    hold = hold or bool(parked)
+                    parked.append((time.monotonic() + delay, task_index, steps))
+                    return
             except StopIteration as done:
-                reply, error = done.value, None
+                reply, error, hold = done.value, None, False
             except PromptDensityError as exc:
                 reply, error = ("", 0.0, 0), str(exc)
-            else:
-                heapq.heappush(parked, (time.monotonic() + delay, task_index, steps))
-                return
             finished.put((task_index, model, reply, error))
 
-        for task_index, (item, condition, run) in enumerate(tasks):
-            if (model, item.benchmark, item.item_id, condition, run) in done:
-                continue
-            while parked and parked[0][0] <= time.monotonic() and not stop.is_set():
-                _, index, steps = heapq.heappop(parked)
-                advance(index, steps)
-            if stop.is_set():
+        while not stop.is_set():
+            if parked:
+                retry = min(parked, key=operator.itemgetter(1)) if hold else min(parked)
+                wait = retry[0] - time.monotonic()
+                if wait <= 0 or hold or task is None:
+                    if wait > 0:  # in slices, so that a stopped run does not sleep it out
+                        backend.sleep(min(wait, _STOP_POLL_S))
+                        continue
+                    parked.remove(retry)
+                    advance(retry[1], retry[2])
+                    continue
+            if task is None:
                 return
+            task_index, (item, condition, run) = task
             prompt = item.variants[condition]
-            advance(task_index, attempts(item, condition, run, prompt, scores[prompt]))
-        # No new trial is left: wait out each backoff through the backend's
-        # sleep, in slices, so that a stopped run does not sleep it out.
-        while parked:
-            due, index, steps = heapq.heappop(parked)
-            wait = due - time.monotonic()
-            while wait > 0 and not stop.is_set():
-                backend.sleep(min(wait, _STOP_POLL_S))
-                wait -= _STOP_POLL_S
-            if stop.is_set():
-                return
-            advance(index, steps)
+            trial = (item, condition, run, prompt, scores[prompt])
+            advance(task_index, attempts(*trial) if attempts else None, trial)
+            task = next(pending, None)
 
     # Sink: this thread alone scores replies, appends to the partial file
     # and reports progress; a finished worker's future arrives on the same

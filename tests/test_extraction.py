@@ -5,6 +5,7 @@ import pytest
 from promptdensity.extraction import (
     AnswerFormat,
     ExtractionMethod,
+    answer_words,
     extract_integer,
     extract_mc_letter,
     match_exact,
@@ -156,3 +157,13 @@ def test_exact_match_of_a_truth_without_words_is_false():
     assert match_exact("!!!", "!!!") is False
     assert match_exact("The answer is —.", "—") is False
     assert match_exact("a \u0301", "\u0301") is False  # a lone combining mark is no word
+
+
+def test_ascii_and_non_ascii_text_split_into_the_same_words():
+    # Text that folds to ASCII takes a regex; any other text a loop over
+    # its characters. Both must cut the same words out of the same text.
+    text = "R2-D2 said: THE_answer is 42%, not 4.2!"
+    words = ["r2", "d2", "said", "the", "answer", "is", "42", "not", "4", "2"]
+    assert answer_words(text) == words
+    assert answer_words(text + " Été") == words + ["été"]
+    assert answer_words("\u017ftra\u00dfe 7\u212a") == ["strasse", "7k"]  # folds to ASCII
