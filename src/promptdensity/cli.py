@@ -21,6 +21,7 @@ from .harness import (
     BackendDescriptor,
     BackendKind,
     build_backend,
+    is_number,
     load_manifest,
     load_results,
     read_json,
@@ -52,13 +53,6 @@ SCHEMA_VERSION = "1"
 def _emit(payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     print(json.dumps(payload, indent=2, ensure_ascii=False))
-
-
-def _is_number(value) -> bool:
-    """Whether a value is a number that a float holds: not NaN, not infinite
-    and not a larger int. JSON true and false are not numbers."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
 
 
 def _is_path(value) -> bool:
@@ -117,7 +111,7 @@ def _load_context(args) -> tuple[Lexicon, ScoreConfig, TemplateBank]:
     for name in ("diluted_below", "dense_from", "ultra_above", "redundancy_min_len"):
         if name in settings:
             value = settings[name]
-            if not _is_number(value):
+            if not is_number(value):
                 raise PromptDensityError(f"{args.config}: {name!r} must be a number")
             overrides[name] = value
     for name in ("function_words", "abstract_words"):
@@ -274,7 +268,7 @@ def _parse_backends(args) -> list:
     if args.backend == "mock":
         for flag, value in (("--mock-intercept", args.mock_intercept),
                             ("--mock-slope", args.mock_slope)):
-            if not _is_number(value):
+            if not is_number(value):
                 raise PromptDensityError(f"{flag} must be a finite number")
         descriptor = BackendDescriptor(
             kind=BackendKind.MOCK,
@@ -297,13 +291,13 @@ def _parse_backends(args) -> list:
         if not isinstance(params, dict):
             raise PromptDensityError(f"{where} 'params' must be an object")
         rpm = entry.get("rate_limit_rpm")
-        if rpm is not None and not (_is_number(rpm) and rpm > 0):
+        if rpm is not None and not (is_number(rpm) and rpm > 0):
             raise PromptDensityError(f"{where} 'rate_limit_rpm' must be null or a positive number")
         retries = entry.get("max_retries", 5)
         if not (isinstance(retries, int) and not isinstance(retries, bool) and retries >= 1):
             raise PromptDensityError(f"{where} 'max_retries' must be an integer of at least 1")
         for name in ("intercept", "slope"):
-            if kind is BackendKind.MOCK and name in params and not _is_number(params[name]):
+            if kind is BackendKind.MOCK and name in params and not is_number(params[name]):
                 raise PromptDensityError(f"{where} 'params.{name}' must be a number")
         credential = entry.get("credential_env")
         if credential is not None and not isinstance(credential, str):
@@ -492,10 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         for issue in exc.issues:
             print(f"error: {issue}", file=sys.stderr)
         return 1
-    except PromptDensityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PromptDensityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

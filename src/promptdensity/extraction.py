@@ -26,7 +26,7 @@ class ExtractionMethod(Enum):
     NONE = "none"
 
 
-MC_VALID_LETTERS = frozenset("ABCD")
+MC_LETTERS = ("A", "B", "C", "D")
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,7 @@ _STANDALONE_LETTER_RE = re.compile(r"(?<![A-Za-z])([A-Za-z])(?![A-Za-z])")
 _NUMBER_RE = re.compile(r"(?<![\d.])[-−]?\d{1,3}(?:,\d{3})+(?:\.\d+)?|(?<![\d,.])[-−]?\d+(?:\.\d+)?")
 
 
-def extract_mc_letter(
-    response: str, valid: frozenset[str] = MC_VALID_LETTERS
-) -> tuple[str | None, ExtractionMethod]:
+def extract_mc_letter(response: str) -> tuple[str | None, ExtractionMethod]:
     """Extract a multiple-choice letter.
 
     Primary: the first valid letter after the last occurrence of the
@@ -60,11 +58,11 @@ def extract_mc_letter(
     if matches:
         tail = response[matches[-1].end() :]
         m = _AFTER_PATTERN_RE.match(tail)
-        if m and m.group(1).upper() in valid:
+        if m and m.group(1).upper() in MC_LETTERS:
             return m.group(1).upper(), ExtractionMethod.PRIMARY_PATTERN
     for m in _STANDALONE_LETTER_RE.finditer(response):
         letter = m.group(1).upper()
-        if letter in valid:
+        if letter in MC_LETTERS:
             return letter, ExtractionMethod.FALLBACK
     return None, ExtractionMethod.NONE
 
@@ -79,17 +77,11 @@ def extract_integer(response: str) -> int | None:
     return int(Decimal(literal).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
 
 
-_ASCII_WORD_RE = re.compile(r"[0-9a-z]+")
-
-
 def answer_words(text: str) -> list[str]:
     """The words of an exact-string answer, in any script: case-folded runs
     of letters and digits with the marks that combine with them, composed
     canonically. Punctuation, symbols and ``_`` separate words."""
-    folded = text.casefold()
-    if folded.isascii():  # the same words, without a loop over characters
-        return _ASCII_WORD_RE.findall(folded)
-    folded = unicodedata.normalize("NFC", folded)
+    folded = unicodedata.normalize("NFC", text.casefold())
     kept = "".join(c if c.isalnum() or unicodedata.category(c)[0] == "M" else " " for c in folded)
     return [word for word in kept.split() if any(c.isalnum() for c in word)]
 

@@ -4,17 +4,17 @@ Every (model, item, condition, run) is issued exactly once and scored with
 the deterministic extractor. Each distinct prompt text is scored once
 before any request is sent. Then one worker thread per backend (at most
 ``MAX_WORKERS`` at a time) walks the task list in order, so every backend
-has one request in flight and waits on different backends overlap. An HTTP
-trial that must back off after a 5xx or a transport error does not hold up
-its backend: the worker sets it aside, sends the later trials, and sends the
-retry once the backoff has passed, never sooner. If a second trial fails
-while one is set aside, the backend is taken to be down: the worker sends
-no new trial and retries one trial at a time, as a lone trial would, until
-a request gets a reply. A 429 asks the client as a whole to slow down, so
-its backoff holds up the backend. The calling thread alone appends each
-finished trial to a crash-resumable partial file, in completion order, and
-calls ``progress``. The final results file is a JSON array sorted by record
-key.
+has one request in flight and waits on different backends overlap. The
+worker waits out each backoff in slices, so a stopped run ends within one
+slice; only rate-limit pacing sleeps in place. A trial that backs off after
+a 5xx or a transport error is set aside while the later trials go out, and
+is retried once its backoff has passed, never sooner. A 429, or a second
+failure while one trial is set aside, holds the backend until a request
+gets a reply: no new trial goes out, and one trial at a time is retried, as
+a lone trial would be. A 200 whose body is not JSON or holds no reply text
+is an error record. The calling thread alone appends each finished trial
+to a crash-resumable partial file, in completion order, and calls
+``progress``. The final results file is a JSON array sorted by record key.
 
 The mock backend answers correctly with probability
 sigmoid(intercept + slope * prompt_score), deterministically per request
@@ -36,13 +36,12 @@ from datetime import datetime, timezone
 from enum import Enum
 
 from .errors import ManifestError, PromptDensityError
-from .extraction import AnswerFormat, answer_words, score_response
+from .extraction import MC_LETTERS, AnswerFormat, answer_words, score_response
 from .lexicon import Lexicon
 from .rewrite import dilute
 from .scoring import DEFAULT_CONFIG, ScoreConfig, analyze
 from .stats import format_table
 
-MC_LETTERS = ("A", "B", "C", "D")
 KNOWN_CONDITIONS = ("diluted", "standard", "ultra_dense", "ultra_dense_ipe", "padding")
 _GRADIENT_RE = re.compile(r"gradient_[0-9a-z_.]+")
 # Most backend workers run_experiment keeps busy at once.
@@ -68,6 +67,15 @@ class BenchmarkItem:
 
 
 _NUMBER = (int, float)  # a JSON number, read into a float
+
+
+def is_number(value) -> bool:
+    """Whether a value is a number that a float holds: not NaN, not infinite
+    and not a larger int. JSON true and false are not numbers."""
+    return (isinstance(value, _NUMBER) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 # The fields of a results record, in file order and in TrialRecord's field
 # order: the JSON type each needs, and its name. An optional "error" string
 # follows them.
@@ -119,10 +127,9 @@ class TrialRecord:
         values = []
         for name, (kind, described) in _RECORD_FIELDS.items():
             value = data.get(name)
-            # JSON true and false are Python ints, but not record numbers; nor
-            # are NaN, the infinities and ints too large for a float.
-            if (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
-                    or kind is _NUMBER and not abs(value) <= sys.float_info.max):
+            # JSON true and false are Python ints, but not record integers.
+            if not (is_number(value) if kind is _NUMBER else isinstance(value, kind)
+                    and (kind is bool or not isinstance(value, bool))):
                 if name not in data:
                     raise PromptDensityError(f"trial record lacks field {name!r}")
                 raise PromptDensityError(f"malformed trial record: {name!r} must be {described}")
@@ -204,11 +211,10 @@ def _http_post(url: str, headers: dict, payload: dict, timeout: float = 120.0):
     import requests
 
     resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    body: dict
     try:
         body = resp.json()
-    except ValueError:
-        body = {"text": resp.text}
+    except ValueError:  # such as a proxy's HTML page; no reply text, so an error record
+        body = resp.text
     return resp.status_code, body
 
 
@@ -225,7 +231,8 @@ class HttpChatBackend:
 
     ``run_experiment`` sends each trial through ``attempts``, not
     ``complete``, so a subclass that changes how a trial is sent must
-    override ``attempts``; ``complete`` only sleeps out its backoffs.
+    override ``attempts``; ``complete`` only sleeps out the backoffs that
+    ``attempts`` yields. A body that is not JSON is no reply.
     """
 
     def __init__(self, descriptor: BackendDescriptor, transport=None, sleep=time.sleep):
@@ -282,11 +289,12 @@ class HttpChatBackend:
     def attempts(self, item: BenchmarkItem, condition: str, run: int, prompt: str, sde: float):
         """The requests of one trial, one paced request per step.
 
-        Yields the backoff in seconds before each retry after a 5xx or a
-        transport error; after a 429 it sleeps the backoff itself, since the
-        provider asks for the whole backend to slow down. Returns ``(reply,
-        latency_ms, output_tokens)``. Raises PromptDensityError on a
-        permanent failure and after ``max_retries`` attempts.
+        Before each retry it yields ``(delay, whole_backend)``: the backoff
+        in seconds, which the caller waits out, and whether it holds up the
+        whole backend, as a 429 does. Pacing sleeps in place. Returns
+        ``(reply, latency_ms, output_tokens)``. Raises PromptDensityError on
+        a permanent failure, a 200 with no reply text, and after
+        ``max_retries`` attempts.
         """
         payload = {
             "model": self.descriptor.model_id,
@@ -294,15 +302,10 @@ class HttpChatBackend:
         }
         payload.update(self.descriptor.params)
         headers = self._headers()
-        delay = 1.0
         last_error = "request failed"
         for attempt in range(self.descriptor.max_retries):
             if attempt:
-                if status == 429:
-                    self.sleep(delay)
-                else:
-                    yield delay
-                delay *= 2.0
+                yield 2.0 ** (attempt - 1), status == 429
             self._pace()
             started = time.monotonic()
             try:
@@ -313,7 +316,7 @@ class HttpChatBackend:
             latency = (time.monotonic() - started) * 1000.0
             if status is not None and status not in _RETRYABLE_STATUS:
                 if status != 200:
-                    raise PromptDensityError(f"backend returned HTTP {status}: {body}")
+                    raise PromptDensityError(f"backend returned HTTP {status}: {body!r:.200}")
                 text = self._parse_text(body)
                 return text, round(latency, 1), self._parse_tokens(body, text)
             if status is not None:
@@ -327,7 +330,7 @@ class HttpChatBackend:
         steps = self.attempts(item, condition, run, prompt, sde)
         try:
             while True:
-                self.sleep(next(steps))
+                self.sleep(next(steps)[0])
         except StopIteration as done:
             return done.value
 
@@ -554,9 +557,10 @@ def run_experiment(
     Backends run concurrently, one worker thread each, so their model ids
     must be distinct. A backend with an ``attempts`` generator (see
     ``HttpChatBackend``) has a trial that backs off set aside while its
-    worker sends the next ones, and waits for a retry that is due later
-    through its ``sleep``; any other backend runs each trial in one
-    ``complete`` call.
+    worker sends the next ones, unless the backend is on hold; the worker
+    waits out every backoff through the backend's ``sleep``, in slices, so
+    a run that stops ends within one. Any other backend runs each trial in
+    one ``complete`` call.
     ``progress(task_index, task_count, record)`` is called on the calling
     thread as each trial finishes.
 
@@ -623,10 +627,10 @@ def run_experiment(
         )
         task = next(pending, None)
         # A trial that backs off is parked as (due, task index, steps). A
-        # trial that fails while another is parked puts the backend on
-        # hold until a reply: no new trial, and only the oldest parked
-        # trial is retried, so a backend that is down sees the requests a
-        # lone trial would send.
+        # 429, or a trial that fails while another is parked, puts the
+        # backend on hold until a reply: no new trial, and only the oldest
+        # parked trial is retried, so a backend that is down sees the
+        # requests a lone trial would send.
         parked: list = []
         hold = False
 
@@ -641,8 +645,8 @@ def run_experiment(
                 if steps is None:
                     reply, error = backend.complete(*trial), None
                 else:
-                    delay = next(steps)
-                    hold = hold or bool(parked)
+                    delay, whole_backend = next(steps)
+                    hold = hold or whole_backend or bool(parked)
                     parked.append((time.monotonic() + delay, task_index, steps))
                     return
             except StopIteration as done:

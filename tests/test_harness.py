@@ -14,6 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -646,6 +647,37 @@ def test_http_unparseable_200_raises(body):
         backend.complete(tiny_items(1)[0], "standard", 0, "p", 0.5)
 
 
+def _post_replying(monkeypatch, status: int, body: bytes) -> None:
+    """Make ``requests.post``, under the default transport, answer ``body``."""
+
+    def post(url, headers, json, timeout):
+        response = requests.models.Response()
+        response.status_code, response._content, response.encoding = status, body, "utf-8"
+        return response
+
+    monkeypatch.setattr(requests, "post", post)
+
+
+def test_a_200_whose_body_is_not_json_is_an_error_record(monkeypatch):
+    # A proxy's page sent with status 200 was taken as the reply text and
+    # scored, here as a correct answer.
+    _post_replying(monkeypatch, 200, b"<html><p>Sign in. The answer is 1.</p></html>")
+    records = run_experiment(distinct_prompt_items(1), [HttpChatBackend(http_descriptor())],
+                             runs_per_item=1)
+    assert len(records) == 2
+    for record in records:
+        assert "no reply text" in record.error and not record.correct and record.response == ""
+
+
+def test_an_error_page_is_cut_short_in_the_error(monkeypatch):
+    # A 50 KB error page went whole into the error message.
+    _post_replying(monkeypatch, 403, b"<html>" + b"denied " * 7000 + b"</html>")
+    backend = HttpChatBackend(http_descriptor())
+    with pytest.raises(PromptDensityError, match="HTTP 403: '<html>denied") as caught:
+        backend.complete(tiny_items(1)[0], "standard", 0, "p", 0.5)
+    assert len(str(caught.value)) < 250
+
+
 def test_http_gives_up_after_max_retries():
     def transport(url, headers, payload):
         return 503, {"error": "down"}
@@ -775,6 +807,36 @@ def test_stopped_run_does_not_wait_out_parked_backoffs():
         run_experiment(distinct_prompt_items(2), [backend], runs_per_item=1, progress=progress)
     assert time.monotonic() - started < 0.5
     assert sent.count(sent[0]) == 1
+
+
+def test_stopped_run_ends_during_a_429_backoff():
+    # A 429 backoff was slept out inside attempts, where the stop could not
+    # reach it: the run took 1 + 2 + 4 + 8 s to end and sent 5 requests.
+    sent: list[str] = []
+    throttled = threading.Event()
+
+    def transport(url, headers, payload):
+        sent.append(_prompt(payload))
+        throttled.set()
+        return 429, {"error": "rate limited"}
+
+    class WaitingMock(MockBackend):
+        """Replies once the HTTP backend has been throttled."""
+
+        def complete(self, *trial):
+            throttled.wait(5.0)
+            return super().complete(*trial)
+
+    def progress(task_index, task_count, record):
+        raise RuntimeError("sink failed")
+
+    backends = [HttpChatBackend(http_descriptor(max_retries=5), transport=transport),
+                WaitingMock(mock_descriptor())]
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="sink failed"):
+        run_experiment(distinct_prompt_items(2), backends, runs_per_item=1, progress=progress)
+    assert time.monotonic() - started < 0.5
+    assert len(sent) == 1
 
 
 class FakeClock:

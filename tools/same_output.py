@@ -4,8 +4,10 @@
 
 Each directory is the root of a checkout (it holds ``src/promptdensity``).
 The script builds one set of inputs with PARENT_DIR's code: the
-``tests/data`` fixtures, a 40-item synthetic manifest, and results files
-from mock runs, one of them with missing records and errored trials. It
+``tests/data`` fixtures, a 40-item synthetic manifest, a manifest of
+exact-string items whose truths are ASCII, accented, Cyrillic and CJK, and
+results files from mock runs, one of them with missing records and errored
+trials. It
 then runs the same matrix of ``promptdensity`` commands against each tree,
 each tree in its own Python subprocess: score, lint, densify, gradient
 (also at five seeds with targets from 0.05, where preambles are inserted,
@@ -53,6 +55,18 @@ CONFIG = {"function_words_extra": ["list", "reply", "integer"],
           "diluted_below": 0.3, "dense_from": 0.5, "ultra_above": 0.7}
 # Fixture words that are abstract ("-ence") or plain without these entries.
 EXTRA_UNITS = ("science", "plants", "moons")
+# Exact-string items: benchmark, truth, standard and ultra-dense wording.
+EXACT_STRINGS = (
+    ("people", "Ada Lovelace", "Who wrote the first published algorithm for Babbage's "
+     "Analytical Engine? Reply with the full name.",
+     "First algorithm author, Analytical Engine (1843): full name."),
+    ("cities", "Zürich", "Which Swiss city hosts the ETH technical university? "
+     "Reply with the city name.", "ETH host city, Switzerland: name."),
+    ("cities", "Москва", "Which city is the capital of Russia? "
+     "Reply with the city name in Cyrillic.", "Capital, Russia: Cyrillic name."),
+    ("cities", "東京", "Which city is the capital of Japan? "
+     "Reply with the city name in Japanese script.", "Capital, Japan: kanji name."),
+)
 # Lines of the two-model run's 480-line .partial file that a resumed run
 # starts from: all of one model's and some of the other's.
 RESUME_KEPT = 300
@@ -101,6 +115,7 @@ def _write_json(path: str, document) -> str:
 def prepare(tree: str, inputs: str) -> None:
     cli = _import_cli(tree)
     from promptdensity.harness import make_synthetic_manifest, manifest_to_json
+    from promptdensity.rewrite import dilute
 
     data = os.path.join(tree, "tests", "data")
     shutil.copy(os.path.join(data, "arc_001.json"), inputs)
@@ -124,6 +139,12 @@ def prepare(tree: str, inputs: str) -> None:
     manifest = _write_json(os.path.join(inputs, "manifest40.json"),
                            manifest_to_json(make_synthetic_manifest(40, seed=2)))
     _write_json(os.path.join(inputs, "two_mocks.json"), TWO_MOCKS)
+    _write_json(os.path.join(inputs, "exact_strings.json"), {"items": [
+        {"id": f"exact_{n}", "benchmark": benchmark, "answer_format": "exact_string",
+         "ground_truth": truth,
+         "variants": {"standard": std, "ultra_dense": dense, "diluted": dilute(std, seed=n)}}
+        for n, (benchmark, truth, std, dense) in enumerate(EXACT_STRINGS)
+    ]})
 
     base = os.path.join(inputs, "results_base.json")
     multi = os.path.join(inputs, "results_two_models.json")
@@ -201,7 +222,7 @@ def collect(tree: str, inputs: str, outdir: str, report: str) -> None:
         for seed in GRADIENT_SEEDS:
             argv = ["gradient", path, "--seed", seed, "--targets", GRADIENT_TARGETS, "--json"]
             cases.append((argv, None))
-    for manifest in ("arc_001.json", "manifest40.json"):
+    for manifest in ("arc_001.json", "manifest40.json", "exact_strings.json"):
         path = os.path.join(inputs, manifest)
         cases += [(["validate", path, "--strict"], None),
                   (["validate", path, "--strict", "--json"], None),
