@@ -21,6 +21,7 @@ from .harness import (
     BackendDescriptor,
     BackendKind,
     build_backend,
+    is_integer,
     is_number,
     load_manifest,
     load_results,
@@ -124,12 +125,16 @@ def _load_context(args) -> tuple[Lexicon, ScoreConfig, TemplateBank]:
     return lex, config, bank
 
 
-def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("input", nargs="?", help="input file (default: stdin)")
-    p.add_argument("--text", help="literal prompt text instead of a file")
+def _add_context_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="structured output")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--lexicon", help="lexicon file overriding the shipped default")
+
+
+def _add_input_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", nargs="?", help="input file (default: stdin)")
+    p.add_argument("--text", help="literal prompt text instead of a file")
+    _add_context_flags(p)
 
 
 def _cmd_score(args) -> int:
@@ -165,23 +170,23 @@ def _cmd_lint(args) -> int:
     return 0
 
 
+def _print_rewrite(args, output: str, before: float, after: float, **extra) -> int:
+    """Print a rewrite's output and scores; ``extra`` fields end the JSON."""
+    if args.json:
+        _emit({"output": output, "sde_before": round(before, 4), "sde_after": round(after, 4),
+               **extra})
+    else:
+        print(output)
+        print(f"sde: {before:.4f} -> {after:.4f}", file=sys.stderr)
+    return 0
+
+
 def _cmd_densify(args) -> int:
     lex, config, _ = _load_context(args)
     result = densify(_read_text(args), lex, config)
-    if args.json:
-        _emit(
-            {
-                "output": result.output,
-                "sde_before": round(result.sde_before, 4),
-                "sde_after": round(result.sde_after, 4),
-                "applied": [d.to_report() for d in result.applied],
-                "structural_edits": list(result.structural_edits),
-            }
-        )
-    else:
-        print(result.output)
-        print(f"sde: {result.sde_before:.4f} -> {result.sde_after:.4f}", file=sys.stderr)
-    return 0
+    return _print_rewrite(args, result.output, result.sde_before, result.sde_after,
+                          applied=[d.to_report() for d in result.applied],
+                          structural_edits=list(result.structural_edits))
 
 
 def _report_rewrite(args, transform) -> int:
@@ -190,13 +195,7 @@ def _report_rewrite(args, transform) -> int:
     text = _read_text(args)
     before = analyze(text, lex, config).sde
     output = transform(text, bank)
-    after = analyze(output, lex, config).sde
-    if args.json:
-        _emit({"output": output, "sde_before": round(before, 4), "sde_after": round(after, 4)})
-    else:
-        print(output)
-        print(f"sde: {before:.4f} -> {after:.4f}", file=sys.stderr)
-    return 0
+    return _print_rewrite(args, output, before, analyze(output, lex, config).sde)
 
 
 def _cmd_dilute(args) -> int:
@@ -294,7 +293,7 @@ def _parse_backends(args) -> list:
         if rpm is not None and not (is_number(rpm) and rpm > 0):
             raise PromptDensityError(f"{where} 'rate_limit_rpm' must be null or a positive number")
         retries = entry.get("max_retries", 5)
-        if not (isinstance(retries, int) and not isinstance(retries, bool) and retries >= 1):
+        if not (is_integer(retries) and retries >= 1):
             raise PromptDensityError(f"{where} 'max_retries' must be an integer of at least 1")
         for name in ("intercept", "slope"):
             if kind is BackendKind.MOCK and name in params and not is_number(params[name]):
@@ -331,7 +330,6 @@ def _cmd_run(args) -> int:
         items,
         backends,
         runs_per_item=args.runs,
-        seed=args.seed,
         out_path=args.out,
         resume=args.resume,
     )
@@ -443,9 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate a prompt manifest")
     p.add_argument("manifest")
     p.add_argument("--strict", action="store_true", help="also check variant score bands")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--lexicon", help="lexicon file overriding the shipped default")
+    _add_context_flags(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("run", help="run the experiment over a manifest")

@@ -27,6 +27,7 @@ import json
 import math
 import operator
 import os
+import random
 import re
 import sys
 import threading
@@ -74,6 +75,11 @@ def is_number(value) -> bool:
     and not a larger int. JSON true and false are not numbers."""
     return (isinstance(value, _NUMBER) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+def is_integer(value) -> bool:
+    """Whether a value is a JSON integer; JSON true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # The fields of a results record, in file order and in TrialRecord's field
@@ -127,9 +133,8 @@ class TrialRecord:
         values = []
         for name, (kind, described) in _RECORD_FIELDS.items():
             value = data.get(name)
-            # JSON true and false are Python ints, but not record integers.
-            if not (is_number(value) if kind is _NUMBER else isinstance(value, kind)
-                    and (kind is bool or not isinstance(value, bool))):
+            if not (is_number(value) if kind is _NUMBER else is_integer(value) if kind is int
+                    else isinstance(value, kind)):
                 if name not in data:
                     raise PromptDensityError(f"trial record lacks field {name!r}")
                 raise PromptDensityError(f"malformed trial record: {name!r} must be {described}")
@@ -282,7 +287,7 @@ class HttpChatBackend:
         usage = body.get("usage", {})
         if isinstance(usage, dict):
             for key in ("completion_tokens", "output_tokens"):
-                if isinstance(usage.get(key), int):
+                if is_integer(usage.get(key)):
                     return usage[key]
         return len(text.split())
 
@@ -345,10 +350,6 @@ def build_backend(descriptor: BackendDescriptor, seed: int = 0, transport=None):
 # Manifest
 # ---------------------------------------------------------------------------
 
-def _condition_known(name: str) -> bool:
-    return name in KNOWN_CONDITIONS or bool(_GRADIENT_RE.fullmatch(name))
-
-
 def validate_manifest(
     data: dict,
     strict: bool = False,
@@ -365,7 +366,7 @@ def validate_manifest(
     raw_items = data.get("items") if isinstance(data, dict) else None
     if not isinstance(raw_items, list) or not raw_items:
         return [], ["manifest must carry a non-empty top-level 'items' array"]
-    seen_ids: set[str] = set()
+    seen: set[tuple[str, str]] = set()
     for pos, raw in enumerate(raw_items):
         where = f"items[{pos}]"
         if not isinstance(raw, dict):
@@ -377,14 +378,15 @@ def validate_manifest(
             continue
         # An id with a newline or other control character would split the line.
         where = item_id if item_id.isprintable() else repr(item_id)
-        if item_id in seen_ids:
-            issues.append(f"{where}: duplicate item id")
-            continue
-        seen_ids.add(item_id)
         benchmark = raw.get("benchmark")
         if not isinstance(benchmark, str) or not benchmark:
             issues.append(f"{where}: missing benchmark")
             continue
+        # Keyed as records are: benchmarks merged into one manifest may reuse ids.
+        if (benchmark, item_id) in seen:
+            issues.append(f"{where}: duplicate item id")
+            continue
+        seen.add((benchmark, item_id))
         try:
             answer_format = AnswerFormat(raw.get("answer_format"))
         except ValueError:
@@ -414,7 +416,7 @@ def validate_manifest(
             continue
         bad = False
         for condition, text in variants.items():
-            if not _condition_known(condition):
+            if not (condition in KNOWN_CONDITIONS or _GRADIENT_RE.fullmatch(condition)):
                 issues.append(f"{where}: unknown condition {condition!r}")
                 bad = True
             if not isinstance(text, str) or not text.strip():
@@ -474,10 +476,6 @@ def manifest_to_json(items: list[BenchmarkItem]) -> dict:
 # ---------------------------------------------------------------------------
 # Experiment loop
 # ---------------------------------------------------------------------------
-
-def _partial_path(out_path: str) -> str:
-    return out_path + ".partial"
-
 
 def _load_partial(path: str) -> dict[tuple, TrialRecord]:
     """Records of a partial file, by key.
@@ -562,7 +560,8 @@ def run_experiment(
     a run that stops ends within one. Any other backend runs each trial in
     one ``complete`` call.
     ``progress(task_index, task_count, record)`` is called on the calling
-    thread as each trial finishes.
+    thread as each trial finishes. ``seed`` is unused: a mock backend takes
+    its seed from ``build_backend``.
 
     With ``out_path`` each completed trial is appended to a ``.partial``
     sidecar immediately; ``resume`` skips keys already present there, so a
@@ -589,7 +588,7 @@ def run_experiment(
     done: dict[tuple, TrialRecord] = {}
     partial = None
     if out_path:
-        partial = _partial_path(out_path)
+        partial = out_path + ".partial"
         if resume:
             done = _load_partial(partial)
         elif os.path.exists(partial):
@@ -785,9 +784,7 @@ def make_synthetic_manifest(n: int, seed: int = 0) -> list[BenchmarkItem]:
     """Generate arithmetic and selection items whose standard text is the
     baseline, ultra_dense is a symbol-heavy rewrite, and diluted comes from
     the dilution transform."""
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     items: list[BenchmarkItem] = []
     for i in range(n):
         if i % 4 < len(_ARITHMETIC):

@@ -545,12 +545,7 @@ def instruction_last(text: str) -> InstructionPlacement:
             marker in lowered for marker in _FORMAT_MARKERS
         ):
             rest = (text[: m.start(1)] + text[m.end(1) :]).strip()
-            instruction = span_text.strip()
-            if not rest:
-                return InstructionPlacement(text, found=True, moved=False)
-            reordered = " ".join(rest.split()) + " " + instruction
-            moved = reordered != " ".join(text.split())
-            if not moved:
-                return InstructionPlacement(text, found=True, moved=False)
-            return InstructionPlacement(reordered, found=True, moved=True)
+            reordered = " ".join(rest.split()) + " " + span_text.strip()
+            moved = bool(rest) and reordered != " ".join(text.split())
+            return InstructionPlacement(reordered if moved else text, found=True, moved=moved)
     return InstructionPlacement(text, found=False, moved=False)

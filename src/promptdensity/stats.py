@@ -389,20 +389,3 @@ def logistic_fit(observations: list[tuple[bool, float, str]]) -> RegressionFit:
         reference_benchmark=benchmarks[0],
         separation_detected=separated,
     )
-
-
-def log_likelihood(
-    observations: list[tuple[bool, float, str]], coefficients: dict[str, float]
-) -> float:
-    """Bernoulli log-likelihood at the given coefficients (for checks)."""
-    benchmarks = sorted({b for _, _, b in observations})
-    total = 0.0
-    for ok, score, bench in observations:
-        eta = coefficients["intercept"] + coefficients["sde"] * score
-        if bench != benchmarks[0]:
-            eta += coefficients.get(f"benchmark[{bench}]", 0.0)
-        eta = max(min(eta, 500.0), -500.0)
-        p = 1.0 / (1.0 + math.exp(-eta))
-        p = min(max(p, 1e-15), 1.0 - 1e-15)
-        total += math.log(p) if ok else math.log(1.0 - p)
-    return total

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptdensity.cli import main
-from promptdensity.harness import make_synthetic_manifest, manifest_to_json
+from promptdensity.harness import make_synthetic_manifest, manifest_to_json, validate_manifest
 
 from conftest import DATA_DIR
 
@@ -232,6 +232,24 @@ def test_validate_printable_item_id_unchanged(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate", str(path))
     assert code == 1
     assert "q 1 é: answer_format must be one of" in err
+
+
+def test_item_ids_repeat_across_benchmarks_but_not_within_one(tmp_path, capsys):
+    # Records key an item by (benchmark, id), so a manifest merged from two
+    # benchmarks that both number their items from q1 must validate and run.
+    item = {"id": "q1", "answer_format": "integer", "ground_truth": "42",
+            "variants": {"standard": "What is 40 plus 2?", "ultra_dense": "40 + 2 = ?"}}
+    merged = {"items": [{**item, "benchmark": benchmark} for benchmark in ("a", "b")]}
+    items, issues = validate_manifest(merged)
+    assert issues == [] and [it.benchmark for it in items] == ["a", "b"]
+    manifest, out = tmp_path / "m.json", tmp_path / "r.json"
+    manifest.write_text(json.dumps(merged))
+    for argv in (["validate", str(manifest)], ["run", "--manifest", str(manifest), "--out", str(out)],
+                 ["analyze", str(out)]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert {r["benchmark"] for r in json.loads(out.read_text())} == {"a", "b"}
+    twice = {"items": merged["items"] + [merged["items"][1]]}
+    assert validate_manifest(twice)[1] == ["q1: duplicate item id"]
 
 
 def test_missing_file_domain_error(capsys):

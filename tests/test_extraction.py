@@ -160,8 +160,8 @@ def test_exact_match_of_a_truth_without_words_is_false():
 
 
 def test_ascii_and_non_ascii_text_split_into_the_same_words():
-    # Text that folds to ASCII takes a regex; any other text a loop over
-    # its characters. Both must cut the same words out of the same text.
+    # Text that folds to ASCII and text that does not are cut into words by
+    # the same rule, so appending a non-ASCII word leaves the others alone.
     text = "R2-D2 said: THE_answer is 42%, not 4.2!"
     words = ["r2", "d2", "said", "the", "answer", "is", "42", "not", "4", "2"]
     assert answer_words(text) == words

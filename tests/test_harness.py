@@ -15,7 +15,7 @@ from unittest import mock
 
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from promptdensity import harness
@@ -645,6 +645,38 @@ def test_http_unparseable_200_raises(body):
     backend = HttpChatBackend(http_descriptor(), transport=transport)
     with pytest.raises(PromptDensityError, match="no reply text"):
         backend.complete(tiny_items(1)[0], "standard", 0, "p", 0.5)
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.sampled_from(["completion_tokens", "output_tokens"]), count=_ANY_JSON)
+@example(key="completion_tokens", count=True)
+def test_any_usage_count_gives_records_that_load_back(key, count):
+    # Every record a run writes must load again. A count that is no JSON
+    # integer, true included, gives way to the reply's word count.
+    reply = "The answer is 42."
+
+    def transport(url, headers, payload):
+        return 200, {"choices": [{"message": {"content": reply}}], "usage": {key: count}}
+
+    backends = [HttpChatBackend(http_descriptor(), transport=transport)]
+    is_int = isinstance(count, int) and not isinstance(count, bool)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "r.json"
+        records = run_experiment(tiny_items(1), backends, runs_per_item=1, out_path=str(out))
+        assert {r.output_tokens for r in records} == {count if is_int else len(reply.split())}
+        assert load_results(str(out)) == records
+        written = out.read_bytes()
+        assert run_experiment(tiny_items(1), backends, runs_per_item=1, out_path=str(out),
+                              resume=True) == records
+        assert out.read_bytes() == written
 
 
 def _post_replying(monkeypatch, status: int, body: bytes) -> None:

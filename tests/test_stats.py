@@ -41,7 +41,6 @@ from promptdensity.stats import (
     accuracy_table,
     chi2_sf_1df,
     format_accuracy_table,
-    log_likelihood,
     logistic_fit,
     mcnemar,
     mcnemar_counts,
@@ -60,6 +59,23 @@ def _pascal_row(n: int) -> list[int]:
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     return row
+
+
+def log_likelihood(
+    observations: list[tuple[bool, float, str]], coefficients: dict[str, float]
+) -> float:
+    """Bernoulli log-likelihood of the logistic model at the given coefficients."""
+    benchmarks = sorted({b for _, _, b in observations})
+    total = 0.0
+    for ok, score, bench in observations:
+        eta = coefficients["intercept"] + coefficients["sde"] * score
+        if bench != benchmarks[0]:
+            eta += coefficients.get(f"benchmark[{bench}]", 0.0)
+        eta = max(min(eta, 500.0), -500.0)
+        p = 1.0 / (1.0 + math.exp(-eta))
+        p = min(max(p, 1e-15), 1.0 - 1e-15)
+        total += math.log(p) if ok else math.log(1.0 - p)
+    return total
 
 
 def exact_binomial_oracle(b: int, c: int) -> float:

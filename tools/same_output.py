@@ -9,12 +9,13 @@ exact-string items whose truths are ASCII, accented, Cyrillic and CJK, and
 results files from mock runs, one of them with missing records and errored
 trials. It
 then runs the same matrix of ``promptdensity`` commands against each tree,
-each tree in its own Python subprocess: score, lint, densify, gradient
-(also at five seeds with targets from 0.05, where preambles are inserted,
-to 1.0, often out of reach, on each text and on all texts joined into
-one), score, lint, densify and gradient again under two --config files
-(redundancy_min_len 0 and 4, extra function and abstract words, moved
-class thresholds) and under a --lexicon with no HEDGE entries and extra
+each tree in its own Python subprocess: score, lint, densify, dilute
+(seed 0, and seed 7 at intensity 3), pad (0 and 5 period groups),
+instruction-last, gradient (also at five seeds with targets from 0.05,
+where preambles are inserted, to 1.0, often out of reach, on each text and
+on all texts joined into one), score, lint, densify and gradient again
+under two --config files (redundancy_min_len 0 and 4, extra function and
+abstract words, moved class thresholds) and under a --lexicon with no HEDGE entries and extra
 UNIT entries, validate --strict, run (stdout, and --out with the results
 and .partial files), run --resume from a .partial file cut to its first
 lines and half a line, analyze (text, --csv, --json) and mcnemar at several
@@ -43,6 +44,10 @@ TIMESTAMP_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(?:\.\d+)?(?:[+-]\d\d:
 THRESHOLDS = ("0.1", "0.05", "0.5", "1", "nan", "0", "2")
 GRADIENT_SEEDS = ("0", "1", "2", "3", "4")
 GRADIENT_TARGETS = "0.05,0.20,0.50,0.80,1.0"
+# Each text command with its flags, run on every text fixture, plain and --json.
+TEXT_COMMANDS = (["score"], ["lint"], ["densify"], ["gradient"],
+                 ["dilute", "--seed", "0"], ["dilute", "--seed", "7", "--intensity", "3"],
+                 ["pad", "--groups", "0"], ["pad", "--groups", "5"], ["instruction-last"])
 PAIRS = ("ultra_dense:diluted", "diluted:ultra_dense", "standard:diluted",
          "ultra_dense:standard", "ultra_dense:padding")
 TWO_MOCKS = [
@@ -208,8 +213,9 @@ def collect(tree: str, inputs: str, outdir: str, report: str) -> None:
     cases: list[tuple[list[str], str | None]] = []
     for name in texts:
         path = os.path.join(inputs, name)
-        for command in ("score", "lint", "densify", "gradient"):
-            cases += [([command, path], None), ([command, path, "--json"], None)]
+        for command, *flags in TEXT_COMMANDS:
+            argv = [command, path, *flags]
+            cases += [(argv, None), (argv + ["--json"], None)]
     settings = [["--config", os.path.join(inputs, f"config_min{n}.json")] for n in (0, 4)]
     settings.append(["--lexicon", os.path.join(inputs, "lexicon_no_hedges.txt")])
     for name in texts:
