@@ -114,6 +114,8 @@ def _load_context(args) -> tuple[Lexicon, ScoreConfig, TemplateBank]:
             value = settings[name]
             if not is_number(value):
                 raise PromptDensityError(f"{args.config}: {name!r} must be a number")
+            if name == "redundancy_min_len" and not (is_integer(value) and value >= 0):
+                raise PromptDensityError(f"{args.config}: {name!r} must be an integer >= 0")
             overrides[name] = value
     for name in ("function_words", "abstract_words"):
         words = settings.get(f"{name}_extra") or []
@@ -122,6 +124,9 @@ def _load_context(args) -> tuple[Lexicon, ScoreConfig, TemplateBank]:
         if words:
             overrides[name] = getattr(DEFAULT_CONFIG, name) | frozenset(w.lower() for w in words)
     config = replace(DEFAULT_CONFIG, **overrides) if overrides else DEFAULT_CONFIG
+    if not 0 <= config.diluted_below <= config.dense_from <= config.ultra_above <= 1:
+        raise PromptDensityError(f"{args.config}: thresholds must satisfy 0 <= diluted_below "
+                                 "<= dense_from <= ultra_above <= 1")
     return lex, config, bank
 
 

@@ -5,16 +5,16 @@ the deterministic extractor. Each distinct prompt text is scored once
 before any request is sent. Then one worker thread per backend (at most
 ``MAX_WORKERS`` at a time) walks the task list in order, so every backend
 has one request in flight and waits on different backends overlap. The
-worker waits out each backoff in slices, so a stopped run ends within one
-slice; only rate-limit pacing sleeps in place. A trial that backs off after
-a 5xx or a transport error is set aside while the later trials go out, and
-is retried once its backoff has passed, never sooner. A 429, or a second
-failure while one trial is set aside, holds the backend until a request
-gets a reply: no new trial goes out, and one trial at a time is retried, as
-a lone trial would be. A 200 whose body is not JSON or holds no reply text
-is an error record. The calling thread alone appends each finished trial
-to a crash-resumable partial file, in completion order, and calls
-``progress``. The final results file is a JSON array sorted by record key.
+worker waits out every backoff and pacing wait in slices, so a stopped run
+ends within one slice. A trial that backs off after a 5xx or a transport
+error is set aside while the later trials go out, and is retried once its
+backoff has passed, never sooner. A 429, or a second failure while one
+trial is set aside, holds the backend until a request gets a reply: no new
+trial goes out, and one trial at a time is retried, as a lone trial would
+be. A 200 whose body is not JSON or holds no reply text is an error record.
+The calling thread alone appends each finished trial to a crash-resumable
+partial file, in completion order, and calls ``progress``. The final
+results file is a JSON array sorted by record key.
 
 The mock backend answers correctly with probability
 sigmoid(intercept + slope * prompt_score), deterministically per request
@@ -40,7 +40,7 @@ from .errors import ManifestError, PromptDensityError
 from .extraction import MC_LETTERS, AnswerFormat, answer_words, score_response
 from .lexicon import Lexicon
 from .rewrite import dilute
-from .scoring import DEFAULT_CONFIG, ScoreConfig, analyze
+from .scoring import DEFAULT_CONFIG, DensityClass, ScoreConfig, analyze
 from .stats import format_table
 
 KNOWN_CONDITIONS = ("diluted", "standard", "ultra_dense", "ultra_dense_ipe", "padding")
@@ -236,7 +236,7 @@ class HttpChatBackend:
 
     ``run_experiment`` sends each trial through ``attempts``, not
     ``complete``, so a subclass that changes how a trial is sent must
-    override ``attempts``; ``complete`` only sleeps out the backoffs that
+    override ``attempts``; ``complete`` only sleeps out the waits that
     ``attempts`` yields. A body that is not JSON is no reply.
     """
 
@@ -253,16 +253,6 @@ class HttpChatBackend:
                 f"credential environment variable {self.descriptor.credential_env!r} is unset"
             )
         return {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
-
-    def _pace(self) -> None:
-        rpm = self.descriptor.rate_limit_rpm
-        if not rpm:
-            return
-        interval = 60.0 / rpm
-        wait = self._last_call + interval - time.monotonic()
-        if wait > 0:
-            self.sleep(wait)
-        self._last_call = time.monotonic()
 
     @staticmethod
     def _parse_text(body) -> str:
@@ -292,14 +282,14 @@ class HttpChatBackend:
         return len(text.split())
 
     def attempts(self, item: BenchmarkItem, condition: str, run: int, prompt: str, sde: float):
-        """The requests of one trial, one paced request per step.
+        """The requests of one trial, one request per step.
 
-        Before each retry it yields ``(delay, whole_backend)``: the backoff
-        in seconds, which the caller waits out, and whether it holds up the
-        whole backend, as a 429 does. Pacing sleeps in place. Returns
-        ``(reply, latency_ms, output_tokens)``. Raises PromptDensityError on
-        a permanent failure, a 200 with no reply text, and after
-        ``max_retries`` attempts.
+        It yields each wait, in seconds, that the caller waits out: before
+        a retry ``(backoff, whole_backend)``, true when it holds up the
+        whole backend, as a 429 does; before a paced request ``(wait,
+        None)``, which holds nothing up. Returns ``(reply, latency_ms,
+        output_tokens)``. Raises PromptDensityError on a permanent failure,
+        a 200 with no reply text, and after ``max_retries`` attempts.
         """
         payload = {
             "model": self.descriptor.model_id,
@@ -307,12 +297,15 @@ class HttpChatBackend:
         }
         payload.update(self.descriptor.params)
         headers = self._headers()
+        rpm = self.descriptor.rate_limit_rpm
         last_error = "request failed"
         for attempt in range(self.descriptor.max_retries):
             if attempt:
                 yield 2.0 ** (attempt - 1), status == 429
-            self._pace()
-            started = time.monotonic()
+            wait = self._last_call + 60.0 / rpm - time.monotonic() if rpm else 0.0
+            if wait > 0:
+                yield wait, None
+            started = self._last_call = time.monotonic()
             try:
                 status, body = self.transport(self.descriptor.endpoint, headers, payload)
             except Exception as exc:  # transport-level failure is retryable
@@ -331,7 +324,7 @@ class HttpChatBackend:
     def complete(
         self, item: BenchmarkItem, condition: str, run: int, prompt: str, sde: float
     ) -> tuple[str, float, int]:
-        """One trial, sleeping out each backoff."""
+        """One trial, sleeping out each wait that ``attempts`` yields."""
         steps = self.attempts(item, condition, run, prompt, sde)
         try:
             while True:
@@ -359,7 +352,7 @@ def validate_manifest(
     """Check a raw manifest document; returns (items, issues).
 
     Strict mode additionally scores the diluted / ultra_dense variants and
-    reports ones that fall outside their condition's score band.
+    reports ones that ``density_class`` puts outside their condition's class.
     """
     issues: list[str] = []
     items: list[BenchmarkItem] = []
@@ -426,18 +419,14 @@ def validate_manifest(
             continue
         item = BenchmarkItem(item_id, benchmark, answer_format, ground_truth.strip(), dict(variants))
         if strict:
-            for condition, bound, above in (("diluted", config.diluted_below, False),
-                                            ("ultra_dense", config.ultra_above, True)):
-                text = item.variants.get(condition)
-                if text is None:
-                    continue
-                score = analyze(text, lex, config).sde
-                if above and score <= bound:
-                    issues.append(f"{where}: ultra_dense variant scores {score:.2f}, "
-                                  f"needs > {bound:.2f}")
-                elif not above and score >= bound:
-                    issues.append(f"{where}: diluted variant scores {score:.2f}, "
-                                  f"needs < {bound:.2f}")
+            for condition, klass, needs in (
+                    ("diluted", DensityClass.DILUTED, f"< {config.diluted_below:.2f}"),
+                    ("ultra_dense", DensityClass.ULTRA_DENSE, f"> {config.ultra_above:.2f}")):
+                if condition in item.variants:
+                    analysis = analyze(item.variants[condition], lex, config)
+                    if analysis.klass is not klass:
+                        issues.append(f"{where}: {condition} variant scores "
+                                      f"{analysis.sde:.2f}, needs {needs}")
         items.append(item)
     return items, issues
 
@@ -555,10 +544,10 @@ def run_experiment(
     Backends run concurrently, one worker thread each, so their model ids
     must be distinct. A backend with an ``attempts`` generator (see
     ``HttpChatBackend``) has a trial that backs off set aside while its
-    worker sends the next ones, unless the backend is on hold; the worker
-    waits out every backoff through the backend's ``sleep``, in slices, so
-    a run that stops ends within one. Any other backend runs each trial in
-    one ``complete`` call.
+    worker sends the next ones, unless the backend is on hold. The worker
+    waits out every backoff and pacing wait through the backend's
+    ``sleep``, in slices, so a run that stops ends within one. Any other
+    backend runs each trial in one ``complete`` call.
     ``progress(task_index, task_count, record)`` is called on the calling
     thread as each trial finishes. ``seed`` is unused: a mock backend takes
     its seed from ``build_backend``.
@@ -635,6 +624,15 @@ def run_experiment(
 
         attempts = getattr(backend, "attempts", None)
 
+        def wait_until(due) -> bool:
+            """Sleep until ``due`` in slices; False if the run stops first."""
+            while not stop.is_set():
+                wait = due - time.monotonic()
+                if wait <= 0:
+                    return True
+                backend.sleep(min(wait, _STOP_POLL_S))
+            return False
+
         def advance(task_index, steps, trial=()) -> None:
             """Send the trial's next request through ``steps``, and park the
             trial if it backs off. A backend without ``attempts`` has no
@@ -645,6 +643,10 @@ def run_experiment(
                     reply, error = backend.complete(*trial), None
                 else:
                     delay, whole_backend = next(steps)
+                    while whole_backend is None:  # pacing: no park, no hold
+                        if not wait_until(time.monotonic() + delay):
+                            return
+                        delay, whole_backend = next(steps)
                     hold = hold or whole_backend or bool(parked)
                     parked.append((time.monotonic() + delay, task_index, steps))
                     return
@@ -657,13 +659,10 @@ def run_experiment(
         while not stop.is_set():
             if parked:
                 retry = min(parked, key=operator.itemgetter(1)) if hold else min(parked)
-                wait = retry[0] - time.monotonic()
-                if wait <= 0 or hold or task is None:
-                    if wait > 0:  # in slices, so that a stopped run does not sleep it out
-                        backend.sleep(min(wait, _STOP_POLL_S))
-                        continue
-                    parked.remove(retry)
-                    advance(retry[1], retry[2])
+                if retry[0] <= time.monotonic() or hold or task is None:
+                    if wait_until(retry[0]):
+                        parked.remove(retry)
+                        advance(retry[1], retry[2])
                     continue
             if task is None:
                 return

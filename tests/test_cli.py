@@ -148,6 +148,21 @@ def test_validate_strict_failure(tmp_path, capsys):
     assert "ultra_dense" in err
 
 
+def test_validate_strict_refuses_misordered_thresholds(tmp_path, capsys):
+    # With dense_from above ultra_above, validate --strict passed this
+    # ultra_dense variant, which scores 0.8333, while score classed it
+    # standard.
+    manifest = {"items": [{"id": "q1", "benchmark": "b", "answer_format": "integer",
+                           "ground_truth": "4",
+                           "variants": {"ultra_dense": "Solve 2+2. Reply with one integer."}}]}
+    path, config = tmp_path / "m.json", tmp_path / "cfg.json"
+    path.write_text(json.dumps(manifest))
+    config.write_text(json.dumps({"dense_from": 0.9, "ultra_above": 0.8}))
+    code, out, err = run_cli(capsys, "validate", str(path), "--strict", "--config", str(config))
+    assert code == 1
+    assert out == "" and err.count("\n") == 1 and "thresholds must satisfy" in err
+
+
 def test_run_and_mcnemar_cli(results_file, capsys):
     code, out, _ = run_cli(
         capsys, "mcnemar", str(results_file), "--pair", "ultra_dense:diluted"
@@ -323,6 +338,13 @@ def test_run_zero_runs_domain_error(small_manifest, capsys):
     pytest.param({"diluted_below": "x"}, "'diluted_below' must be a number", id="threshold-str"),
     pytest.param({"function_words_extra": "abc"},
                  "'function_words_extra' must be a list of strings", id="extras-str"),
+    # validate --strict and score would class the same text differently.
+    pytest.param({"dense_from": 0.9, "ultra_above": 0.8}, "thresholds must satisfy",
+                 id="thresholds-misordered"),
+    pytest.param({"redundancy_min_len": 2.5}, "'redundancy_min_len' must be an integer >= 0",
+                 id="min-len-fraction"),
+    pytest.param({"redundancy_min_len": -3}, "'redundancy_min_len' must be an integer >= 0",
+                 id="min-len-negative"),
 ])
 def test_malformed_config_domain_error(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"

@@ -871,6 +871,26 @@ def test_stopped_run_ends_during_a_429_backoff():
     assert len(sent) == 1
 
 
+def test_stopped_run_ends_during_a_pacing_wait():
+    # Pacing slept in place on the worker thread, where the stop could not
+    # reach it: the run took 10 s to end and sent 2 requests.
+    sent: list[str] = []
+
+    def transport(url, headers, payload):
+        sent.append(_prompt(payload))
+        return 200, {"text": "The answer is 1."}
+
+    def progress(task_index, task_count, record):
+        raise RuntimeError("sink failed")
+
+    backend = HttpChatBackend(http_descriptor(rate_limit_rpm=6.0), transport=transport)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="sink failed"):
+        run_experiment(distinct_prompt_items(2), [backend], runs_per_item=1, progress=progress)
+    assert time.monotonic() - started < 0.5
+    assert len(sent) == 1
+
+
 class FakeClock:
     """A monotonic clock that moves only when a transport call or a sleep
     moves it; backends on several threads share it."""
@@ -917,8 +937,10 @@ def _scheduled_transport(schedule, clock, latency, log):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), max_retries=st.integers(1, 4),
-       latencies=st.lists(st.sampled_from([0.0, 0.3, 0.7]), min_size=1, max_size=2))
-def test_parked_retries_give_the_records_of_complete_called_in_turn(data, max_retries, latencies):
+       latencies=st.lists(st.sampled_from([0.0, 0.3, 0.7]), min_size=1, max_size=2),
+       rpm=st.sampled_from([None, 600.0, 120.0, 40.0]))
+def test_parked_retries_give_the_records_of_complete_called_in_turn(data, max_retries, latencies,
+                                                                    rpm):
     items = distinct_prompt_items(3)
     models = [f"remote-{n}" for n in range(len(latencies))]
     latency = dict(zip(models, latencies))
@@ -928,7 +950,8 @@ def test_parked_retries_give_the_records_of_complete_called_in_turn(data, max_re
 
     def backends(clock, log):
         transport = _scheduled_transport(schedule, clock, latency, log)
-        return [HttpChatBackend(http_descriptor(model_id=model, max_retries=max_retries),
+        return [HttpChatBackend(http_descriptor(model_id=model, max_retries=max_retries,
+                                                rate_limit_rpm=rpm),
                                 transport=transport, sleep=clock.sleep) for model in models]
 
     clock, log = FakeClock(), []
@@ -956,6 +979,10 @@ def test_parked_retries_give_the_records_of_complete_called_in_turn(data, max_re
         times = [entry[2:] for entry in log if entry[:2] == key]
         for n, ((_, failed_end), (retry_start, _)) in enumerate(zip(times, times[1:])):
             assert retry_start - failed_end >= 2.0 ** n - 1e-9
+    # Each model's requests went out no closer than its pacing interval.
+    for model in models:
+        starts = [entry[2] for entry in log if entry[0] == model]
+        assert all(b - a >= 60.0 / (rpm or math.inf) - 1e-9 for a, b in zip(starts, starts[1:]))
 
 
 def _windowed_transport(clock, status, window, log, latency=0.05):
@@ -1034,6 +1061,29 @@ def test_backend_is_held_after_two_failures_until_a_reply():
     assert sent[:4] == [0, 1, 0, 1]
     assert sent[4:9] == [2, 3, 4, 5, 6]
     assert sent.index(5, 8) > sent.index(7)
+
+
+def test_pacing_does_not_hold_a_backend_through_a_backoff():
+    # Trial 0 fails once and backs off 1 s. A pacing wait that parked its
+    # trial or held the backend would stop the later trials until then;
+    # they go out every 0.1 s, as the backend is paced, and so does the retry.
+    clock, sent = FakeClock(), []
+
+    def transport(url, headers, payload):
+        sent.append((clock.now, _prompt(payload)))
+        clock.sleep(0.01)
+        if len(sent) == 1:
+            return 503, {"error": "overloaded"}
+        return 200, {"text": "The answer is 1."}
+
+    backend = HttpChatBackend(http_descriptor(rate_limit_rpm=600.0), transport=transport,
+                              sleep=clock.sleep)
+    with mock.patch.object(harness, "time", clock):
+        records = run_experiment(distinct_prompt_items(6), [backend], runs_per_item=1)
+    assert [r.error for r in records if r.error] == []
+    starts, prompts = zip(*sent)
+    assert [b - a for a, b in zip(starts, starts[1:])] == pytest.approx([0.1] * (len(sent) - 1))
+    assert prompts.index(prompts[0], 1) > 10
 
 
 def test_validate_rejects_exact_string_truth_without_words():

@@ -16,8 +16,8 @@ where preambles are inserted, to 1.0, often out of reach, on each text and
 on all texts joined into one), score, lint, densify and gradient again
 under two --config files (redundancy_min_len 0 and 4, extra function and
 abstract words, moved class thresholds) and under a --lexicon with no HEDGE entries and extra
-UNIT entries, validate --strict, run (stdout, and --out with the results
-and .partial files), run --resume from a .partial file cut to its first
+UNIT entries, validate --strict (also under both --config files), run
+(stdout, and --out with the results and .partial files), run --resume from a .partial file cut to its first
 lines and half a line, analyze (text, --csv, --json) and mcnemar at several
 thresholds and condition pairs. Timestamps and temporary paths are masked. It prints
 how many outputs are identical and how many differ, with the first
@@ -216,8 +216,8 @@ def collect(tree: str, inputs: str, outdir: str, report: str) -> None:
         for command, *flags in TEXT_COMMANDS:
             argv = [command, path, *flags]
             cases += [(argv, None), (argv + ["--json"], None)]
-    settings = [["--config", os.path.join(inputs, f"config_min{n}.json")] for n in (0, 4)]
-    settings.append(["--lexicon", os.path.join(inputs, "lexicon_no_hedges.txt")])
+    configs = [["--config", os.path.join(inputs, f"config_min{n}.json")] for n in (0, 4)]
+    settings = configs + [["--lexicon", os.path.join(inputs, "lexicon_no_hedges.txt")]]
     for name in texts:
         path = os.path.join(inputs, name)
         for setting in settings:
@@ -230,9 +230,10 @@ def collect(tree: str, inputs: str, outdir: str, report: str) -> None:
             cases.append((argv, None))
     for manifest in ("arc_001.json", "manifest40.json", "exact_strings.json"):
         path = os.path.join(inputs, manifest)
-        cases += [(["validate", path, "--strict"], None),
-                  (["validate", path, "--strict", "--json"], None),
-                  (["run", "--manifest", path, "--runs", "1"], None)]
+        for setting in [[]] + configs:
+            cases += [(["validate", path, "--strict", *setting], None),
+                      (["validate", path, "--strict", "--json", *setting], None)]
+        cases.append((["run", "--manifest", path, "--runs", "1"], None))
         for label, backend in (("mock", ["--backend", "mock"]),
                                ("two_mocks", ["--backend", os.path.join(inputs, "two_mocks.json")])):
             out = os.path.join(outdir, f"{manifest[:-5]}_{label}.json")
