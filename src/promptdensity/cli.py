@@ -131,7 +131,6 @@ def _load_context(args) -> tuple[Lexicon, ScoreConfig, TemplateBank]:
 
 
 def _add_context_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="structured output")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--lexicon", help="lexicon file overriding the shipped default")
 
@@ -139,6 +138,7 @@ def _add_context_flags(p: argparse.ArgumentParser) -> None:
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", nargs="?", help="input file (default: stdin)")
     p.add_argument("--text", help="literal prompt text instead of a file")
+    p.add_argument("--json", action="store_true", help="structured output")
     _add_context_flags(p)
 
 
@@ -329,6 +329,7 @@ def _parse_backends(args) -> list:
 
 
 def _cmd_run(args) -> int:
+    lex, config, _ = _load_context(args)
     items = load_manifest(args.manifest)
     backends = _parse_backends(args)
     records = run_experiment(
@@ -337,6 +338,8 @@ def _cmd_run(args) -> int:
         runs_per_item=args.runs,
         out_path=args.out,
         resume=args.resume,
+        lex=lex,
+        config=config,
     )
     if args.out:
         print(f"{len(records)} records -> {args.out}", file=sys.stderr)
@@ -446,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate a prompt manifest")
     p.add_argument("manifest")
     p.add_argument("--strict", action="store_true", help="also check variant score bands")
+    p.add_argument("--json", action="store_true", help="structured output")
     _add_context_flags(p)
     p.set_defaults(func=_cmd_validate)
 
@@ -459,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mock-intercept", type=float, default=-2.0)
     p.add_argument("--mock-slope", type=float, default=4.0)
+    _add_context_flags(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("analyze", help="accuracy and latency tables from results")

@@ -86,10 +86,19 @@ def answer_words(text: str) -> list[str]:
     return [word for word in kept.split() if any(c.isalnum() for c in word)]
 
 
+# Scripts written without spaces between words (Han, kana, Thai, Lao, Khmer,
+# Myanmar), by Unicode name prefix: their words have no edges to match.
+_UNSPACED = ("CJK UNIFIED", "CJK COMPATIBILITY", "HIRAGANA", "KATAKANA", "THAI", "LAO",
+             "KHMER", "MYANMAR")
+
+
 def match_exact(response: str, truth: str) -> bool:
     """Case-insensitive, punctuation-stripped whole-phrase containment of
-    the ground truth in the response. A truth with no words matches
-    nothing."""
+    the ground truth in the response; a truth in scripts without spaces is
+    only contained. A truth with no words matches nothing."""
+    folded = unicodedata.normalize("NFC", truth.strip().casefold())
+    if folded and all(unicodedata.name(c, "").startswith(_UNSPACED) for c in folded):
+        return folded in unicodedata.normalize("NFC", response.casefold())
     needle = answer_words(truth)
     haystack = answer_words(response)
     if not needle or len(needle) > len(haystack):

@@ -137,27 +137,29 @@ def default_lexicon() -> Lexicon:
 
 
 def scan_phrases(
-    seq: TokenSequence, lex: Lexicon, i: int = 0, rejoin: Container[int] = ()
+    seq: TokenSequence, lex: Lexicon, i: int = 0, rejoin_from: float = float("inf"),
+    inside: Container[int] = (),
 ) -> tuple[list[PhraseMatch], int]:
     """Greedy leftmost-longest, case-insensitive phrase matching from token ``i``.
 
     Multi-word phrases only match runs of non-punctuation tokens separated
     by exactly one space in the source; matches never overlap. The scan
-    runs to the end, or stops at the first position it stands on that is
-    in ``rejoin``; it returns its matches and the position it stopped at.
+    runs to the end, or stops at the first position from ``rejoin_from`` on
+    that it stands on and that is not in ``inside``; it returns its matches
+    and the position it stopped at.
     """
     index = lex._phrase_index
-    tokens = seq.tokens
+    starts, ends = seq.starts, seq.ends
     lowered = seq.lowered  # None for punctuation, which matches no word
     source_bytes = seq.source.encode("utf-8")
     matches: list[PhraseMatch] = []
-    while i < len(tokens) and i not in rejoin:
+    while i < len(lowered) and (i < rejoin_from or i in inside):
         candidates = index.get(lowered[i], ())
         chosen: tuple[tuple[str, ...], Category] | None = None
         for words, category in candidates:
             end = i + len(words)
             if lowered[i:end] == words and all(
-                source_bytes[tokens[k - 1].end : tokens[k].start] == b" "
+                source_bytes[ends[k - 1] : starts[k]] == b" "
                 for k in range(i + 1, end)
             ):
                 chosen = (words, category)

@@ -9,11 +9,13 @@ moves the output-format instruction to the end.
 """
 from __future__ import annotations
 
+import operator
 import random
 import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import compress, count, islice, repeat
 
 from . import wordlists
 from .errors import EmptyPromptError, LexiconFormatError, PromptDensityError
@@ -32,7 +34,7 @@ from .scoring import (
     analyze,
     insert_word,
 )
-from .tokens import Token, TokenKind, TokenSequence, insert_at, tokenize
+from .tokens import TokenKind, TokenSequence, insert_at, tokenize
 
 
 class Severity(Enum):
@@ -146,8 +148,8 @@ def default_templates() -> TemplateBank:
 # Lint
 # ---------------------------------------------------------------------------
 
-def _word_indices(tokens: tuple[Token, ...]) -> list[int]:
-    return [i for i, t in enumerate(tokens) if t.kind is not TokenKind.PUNCTUATION]
+def _word_indices(seq: TokenSequence) -> list[int]:
+    return [i for i, lower in enumerate(seq.lowered) if lower is not None]
 
 
 def _findings(analysis: PromptAnalysis) -> list[tuple[int, int, Diagnostic]]:
@@ -158,25 +160,25 @@ def _findings(analysis: PromptAnalysis) -> list[tuple[int, int, Diagnostic]]:
     'derive'), then single nominalizations and vague quantities in token
     order. A rule never takes a token an earlier finding already took.
     """
-    seq, tokens = analysis.seq, analysis.seq.tokens
+    seq, texts = analysis.seq, analysis.seq.texts
     out: list[tuple[int, int, Diagnostic]] = []
     claimed: set[int] = set()
 
     def add(start: int, end: int, rule: str, message: str,
             severity: Severity = Severity.SUGGEST, replacement: str | None = None) -> None:
-        out.append((start, end, Diagnostic(rule, tokens[start].start, tokens[end - 1].end,
+        out.append((start, end, Diagnostic(rule, seq.starts[start], seq.ends[end - 1],
                                            message, severity, replacement)))
         claimed.update(range(start, end))
 
     for m in analysis.matches:
         rule, message = _RULE_BY_CATEGORY[m.category]
         add(m.start, m.end, rule, f"{message}: {m.phrase!r}", Severity.REMOVE_SAFE)
-    for i, (tok, lab) in enumerate(zip(tokens, analysis.labels)):
+    for i, (text, lab) in enumerate(zip(texts, analysis.labels)):
         if lab.kind is LabelKind.SEMANTIC and lab.redundant:
-            add(i, i + 1, "redundant-restatement", f"{tok.text!r} repeats an earlier concept",
+            add(i, i + 1, "redundant-restatement", f"{text!r} repeats an earlier concept",
                 Severity.REMOVE_SAFE)
 
-    words = _word_indices(tokens)
+    words = _word_indices(seq)
     lowered = [seq.lowered[i] for i in words]
     for pos, i in enumerate(words):
         if i in claimed or lowered[pos] not in wordlists.LIGHT_VERBS:
@@ -203,7 +205,7 @@ def _findings(analysis: PromptAnalysis) -> list[tuple[int, int, Diagnostic]]:
         elif lower in wordlists.VAGUE_QUANTITY_WORDS:
             replacement = wordlists.VAGUE_QUANTITY_WORDS[lower]
             hint = f"replace with {replacement!r}" if replacement else "quantify it"
-            add(i, i + 1, "vague-quantity", f"vague quantity {tokens[i].text!r}; {hint}",
+            add(i, i + 1, "vague-quantity", f"vague quantity {texts[i]!r}; {hint}",
                 replacement=replacement)
     return out
 
@@ -241,7 +243,7 @@ def _question_scaffolds(seq: TokenSequence, claimed: set[int]) -> list[tuple[int
 
 
 def _rebuild(
-    tokens: tuple[Token, ...],
+    seq: TokenSequence,
     drop: set[int],
     replace: dict[int, tuple[int, str]],
 ) -> str:
@@ -251,7 +253,7 @@ def _rebuild(
     pieces: list[str] = []
     prev_end: int | None = None
     i = 0
-    while i < len(tokens):
+    while i < len(seq):
         if i in replace:
             end, repl = replace[i]
             if pieces:
@@ -263,11 +265,10 @@ def _rebuild(
         if i in drop:
             i += 1
             continue
-        tok = tokens[i]
         if pieces:
-            pieces.append("" if prev_end == tok.start else " ")
-        pieces.append(tok.text)
-        prev_end = tok.end
+            pieces.append("" if prev_end == seq.starts[i] else " ")
+        pieces.append(seq.texts[i])
+        prev_end = seq.ends[i]
         i += 1
     return "".join(pieces)
 
@@ -277,7 +278,7 @@ def _densify_round(
 ) -> tuple[str, list[Diagnostic], list[str]] | None:
     """One densification pass; None when the text is already stable."""
     seq, labels = analysis.seq, analysis.labels
-    tokens = seq.tokens
+    texts, kinds = seq.texts, seq.kinds
     applied: list[Diagnostic] = []
     notes: list[str] = []
     drop: set[int] = set()
@@ -304,20 +305,20 @@ def _densify_round(
     # Telegraphic elision of determiners/auxiliaries while the prompt is
     # still below the dense band; never touches semantic tokens.
     if analysis.sde < config.dense_from:
-        for i, (tok, lab) in enumerate(zip(tokens, labels)):
+        for i, (kind, lab) in enumerate(zip(kinds, labels)):
             if i in claimed or lab.kind is not LabelKind.FUNCTION:
                 continue
-            if tok.kind is TokenKind.WORD and seq.lowered[i] in _ELIDABLE:
+            if kind is TokenKind.WORD and seq.lowered[i] in _ELIDABLE:
                 drop.add(i)
                 claimed.add(i)
-                notes.append(f"elided function word {tok.text!r}")
+                notes.append(f"elided function word {texts[i]!r}")
 
     # Orphan cleanup: conjunctions that lost a neighbour, prepositions that
     # lost their object, and punctuation whose host word was removed. Every
     # dropped or replaced token is claimed by now.
-    word_idx = _word_indices(tokens)
+    word_idx = _word_indices(seq)
     for pos, i in enumerate(word_idx):
-        if i in claimed or tokens[i].kind is not TokenKind.WORD:
+        if i in claimed or kinds[i] is not TokenKind.WORD:
             continue
         lower = seq.lowered[i]
         prev_i = word_idx[pos - 1] if pos > 0 else None
@@ -328,18 +329,18 @@ def _densify_round(
             or next_i is None
         ):
             drop.add(i)
-            notes.append(f"dropped orphaned conjunction {tokens[i].text!r}")
+            notes.append(f"dropped orphaned conjunction {texts[i]!r}")
         elif lower in _PREPOSITIONS and (next_i is None or next_i in claimed):
             drop.add(i)
-            notes.append(f"dropped orphaned preposition {tokens[i].text!r}")
+            notes.append(f"dropped orphaned preposition {texts[i]!r}")
     removed = claimed | drop
-    for i, tok in enumerate(tokens):
-        if tok.kind is TokenKind.PUNCTUATION and i > 0 and (i - 1) in removed and i not in removed:
+    for i, kind in enumerate(kinds):
+        if kind is TokenKind.PUNCTUATION and i > 0 and (i - 1) in removed and i not in removed:
             drop.add(i)
 
     if not drop and not replace:
         return None
-    rebuilt = _rebuild(tokens, drop, replace)
+    rebuilt = _rebuild(seq, drop, replace)
     return rebuilt, applied, notes
 
 
@@ -414,10 +415,11 @@ def dilute(
 
     # One hedge before each task verb; inserting from the end keeps the
     # earlier byte offsets valid.
+    seq = tokenize(text)
     verb_starts = [
-        tok.start
-        for tok in tokenize(text).tokens
-        if tok.kind is TokenKind.WORD and tok.text.lower() in wordlists.PROMPT_VERBS
+        start
+        for start, kind, lower in zip(seq.starts, seq.kinds, seq.lowered)
+        if kind is TokenKind.WORD and lower in wordlists.PROMPT_VERBS
     ]
     hedges = [bank.hedges[rng.randrange(len(bank.hedges))] for _ in verb_starts]
     hedged = text
@@ -504,13 +506,15 @@ def gradient_variants(
                 hedge = unit_hedges[hedge_counter % len(unit_hedges)]
                 hedge_counter += 1
                 seq = current.seq
-                words = [k for k, t in enumerate(seq.tokens) if t.kind is TokenKind.WORD]
+                words = seq.kinds.count(TokenKind.WORD)
                 if not words:
                     current = analyze(seq.source + " " + hedge, lex, config)
                     continue
-                k = words[rng.randrange(len(words))]
+                # The index of the drawn WORD token, found without a Python loop.
+                is_word = map(operator.is_, seq.kinds, repeat(TokenKind.WORD))
+                k = next(islice(compress(count(), is_word), rng.randrange(words), None))
                 current = insert_word(current, k, hedge, lex, config) or analyze(
-                    insert_at(seq.source, seq.tokens[k].start, hedge), lex, config
+                    insert_at(seq.source, seq.starts[k], hedge), lex, config
                 )
         results[target] = GradientVariant(target, current.seq.source, current.sde)
     return [results[t] for t in ordered]

@@ -9,6 +9,7 @@ non-nominalized words). Scores map onto four density classes.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,7 +26,7 @@ from .lexicon import (
     match_phrases,
     scan_phrases,
 )
-from .tokens import Token, TokenKind, TokenSequence, insert_at, tokenize
+from .tokens import TokenKind, TokenSequence, insert_at, tokenize
 
 
 class LabelKind(Enum):
@@ -99,6 +100,7 @@ class PromptAnalysis:
     matches: tuple[PhraseMatch, ...] = field(compare=False, repr=False)
 
     def to_report(self) -> dict:
+        seq = self.seq
         return {
             "sde": round(self.sde, 4),
             "class": self.klass.value,
@@ -108,14 +110,16 @@ class PromptAnalysis:
             "C": round(self.concreteness, 4),
             "labels": [
                 {
-                    "text": tok.text,
-                    "span": [tok.start, tok.end],
-                    "kind": tok.kind.value,
+                    "text": text,
+                    "span": [start, end],
+                    "kind": kind.value,
                     "label": lab.kind.value,
                     "redundant": lab.redundant,
                     "concrete": lab.concrete,
                 }
-                for tok, lab in zip(self.seq.tokens, self.labels)
+                for text, kind, start, end, lab in zip(
+                    seq.texts, seq.kinds, seq.starts, seq.ends, self.labels
+                )
             ],
         }
 
@@ -138,7 +142,7 @@ def classify_tokens(
 ) -> tuple[TokenLabel, ...]:
     """Label every token.
 
-    Pipeline: lexicon phrase matches (``matches`` if given) claim their
+    Pipeline: lexicon phrase matches (``matches`` if given, in order) claim their
     tokens first, then the closed-class function-word list, and the rest is
     semantic. Semantic tokens are then flagged for redundancy (stem repeats
     an earlier semantic stem; only words of at least ``redundancy_min_len``
@@ -156,13 +160,15 @@ def _label_span(seq: TokenSequence, lo: int, hi: int, matches: Sequence[PhraseMa
                 lex: Lexicon, config: ScoreConfig) -> list[TokenLabel]:
     """Labels of tokens [lo, hi); a word is redundant when its stem repeats
     one earlier in the span."""
-    tokens, lowered = seq.tokens, seq.lowered
+    texts, kinds, starts, ends, lowered = seq.texts, seq.kinds, seq.starts, seq.ends, seq.lowered
     by_match: dict[int, TokenLabel] = {}
-    for m in matches:
-        if m.start < hi and m.end > lo:
-            label = _CATEGORY_LABELS[m.category]
-            for i in range(m.start, m.end):
-                by_match[i] = label
+    # Matches are in order: start from the first that ends past lo.
+    for m in matches[bisect_right(matches, lo, key=lambda m: m.end) :]:
+        if m.start >= hi:
+            break
+        label = _CATEGORY_LABELS[m.category]
+        for i in range(m.start, m.end):
+            by_match[i] = label
 
     units = lex.phrases(Category.UNIT)
     suffixes = lex.phrases(Category.NOMINALIZATION_SUFFIX)
@@ -178,29 +184,29 @@ def _label_span(seq: TokenSequence, lo: int, hi: int, matches: Sequence[PhraseMa
         if matched is not None:
             labels.append(matched)
             continue
-        tok = tokens[idx]
-        word = tok.kind is TokenKind.WORD
+        text = texts[idx]
+        word = kinds[idx] is TokenKind.WORD
         if word and lower in config.function_words:
             # A lone capital directly before "."/")"/":" is a multiple-choice
             # option label, not the article or pronoun.
             nxt = idx + 1
-            if not (len(tok.text) == 1 and tok.text.isupper() and tok.text != "I"
-                    and nxt < len(tokens) and tokens[nxt].text[0] in ".):"
-                    and tokens[nxt].start == tok.end):
+            if not (len(text) == 1 and text.isupper() and text != "I"
+                    and nxt < len(texts) and texts[nxt][0] in ".):"
+                    and starts[nxt] == ends[idx]):
                 labels.append(_FUNCTION_LABEL)
                 continue
 
         word_stem = stem(lower)
         redundant = False
-        if word and len(tok.text) >= config.redundancy_min_len:
+        if word and len(text) >= config.redundancy_min_len:
             redundant = word_stem in seen_stems
             seen_stems.add(word_stem)
         if redundant:
             concrete = False
         elif not word or lower in units:  # numbers, math symbols and units
             concrete = True
-        elif tok.text[0].isupper() and idx > 0 and (
-            lowered[idx - 1] is not None or tokens[idx - 1].text[-1] not in ".?!:;"
+        elif text[0].isupper() and idx > 0 and (
+            lowered[idx - 1] is not None or texts[idx - 1][-1] not in ".?!:;"
         ):  # a capital away from a sentence start names something
             concrete = True
         else:
@@ -264,11 +270,7 @@ def analyze(
         raise EmptyPromptError("empty prompt")
     lex = lex if lex is not None else default_lexicon()
     matches = tuple(match_phrases(seq, lex))
-    return _scored(seq, w, classify_tokens(seq, lex, config, matches=matches), matches, config)
-
-
-def _scored(seq: TokenSequence, w: int, labels: tuple[TokenLabel, ...],
-            matches: tuple[PhraseMatch, ...], config: ScoreConfig) -> PromptAnalysis:
+    labels = classify_tokens(seq, lex, config, matches=matches)
     s, r, c = component_scores(labels, w)
     sde = density_score(s, w, r, c)
     return PromptAnalysis(sde, density_class(sde, config), w, s, r, c, labels, seq, matches)
@@ -291,37 +293,49 @@ def insert_word(
     past ``k``. Only those tokens and token ``k + 1``, whose sentence start
     moved, are relabelled; the redundancy flags stay.
     """
-    seq, tokens = analysis.seq, analysis.seq.tokens
-    if not word.isalpha() or tokens[k].kind is not TokenKind.WORD:
+    seq = analysis.seq
+    if not word.isalpha() or seq.kinds[k] is not TokenKind.WORD:
         return None
     lex = lex if lex is not None else default_lexicon()
-    pos, shift = tokens[k].start, len(word.encode("utf-8")) + 1
+    pos, shift = seq.starts[k], len(word.encode("utf-8")) + 1
     new_seq = TokenSequence(
         insert_at(seq.source, pos, word),
-        tokens[:k] + (Token(word, pos, pos + shift - 1, TokenKind.WORD),)
-        + tuple(Token(t.text, t.start + shift, t.end + shift, t.kind) for t in tokens[k:]),
+        seq.texts[:k] + (word,) + seq.texts[k:],
+        seq.kinds[:k] + (TokenKind.WORD,) + seq.kinds[k:],
+        seq.starts[:k] + (pos,) + tuple(map(shift.__add__, seq.starts[k:])),
+        seq.ends[:k] + (pos + shift - 1,) + tuple(map(shift.__add__, seq.ends[k:])),
     )
     new_seq.__dict__["lowered"] = seq.lowered[:k] + (word.lower(),) + seq.lowered[k:]
 
     old = analysis.matches
     start = max(k - MAX_PHRASE_WORDS, 0)
-    start = next((m.start for m in old if m.start < start < m.end), start)
+    first = bisect_right(old, start, key=lambda m: m.end)  # the first to end past start
+    if first < len(old) and old[first].start < start:
+        start = old[first].start
     # Past k the new scan agrees with the old from any position both stand on.
-    inside = {j + 1 for m in old for j in range(m.start + 1, m.end)}
-    found, stop = scan_phrases(new_seq, lex, start, set(range(k + 1, len(new_seq))) - inside)
+    inside = {j + 1 for m in old[first:] for j in range(m.start + 1, m.end)}
+    found, stop = scan_phrases(new_seq, lex, start, k + 1, inside)
     tail = [PhraseMatch(m.category, m.start + 1, m.end + 1, m.phrase)
-            for m in old if m.start >= stop - 1]
-    matches = (*(m for m in old if m.end <= start), *found, *tail)
+            for m in old[first:] if m.start >= stop - 1]
+    matches = (*old[:first], *found, *tail)
 
     labels = list(analysis.labels)
     labels.insert(k, _FUNCTION_LABEL)  # so that a semantic new word falls back
-    # With no token turning semantic or not, a repeat within the span was a
-    # repeat before, and the old flags are the whole text's.
+    # With no token turning semantic or not, S and the redundancy flags
+    # stay: a repeat within the span was a repeat before, and the old flags
+    # are the whole text's. Only the concrete count moves.
+    s, denom = analysis.semantic_count, max(analysis.semantic_count, 1)
+    concrete = round(analysis.concreteness * denom)
     end = min(max(stop, k + 2), len(new_seq))
     span = _label_span(new_seq, start, end, matches, lex, config)
     for idx, label in enumerate(span, start):
         before = labels[idx]
         if (label.kind is LabelKind.SEMANTIC) != (before.kind is LabelKind.SEMANTIC):
             return None
-        labels[idx] = before if before.redundant else label
-    return _scored(new_seq, analysis.word_count + 1, tuple(labels), matches, config)
+        if not before.redundant:
+            labels[idx] = label
+            concrete += label.concrete - before.concrete
+    w, r, c = analysis.word_count + 1, analysis.redundancy, concrete / denom
+    sde = density_score(s, w, r, c)
+    return PromptAnalysis(sde, density_class(sde, config), w, s, r, c, tuple(labels), new_seq,
+                          matches)

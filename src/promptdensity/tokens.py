@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -33,24 +33,34 @@ class Token:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Ordered tokens over one source string."""
+    """Ordered tokens over one source string, held as parallel columns:
+    each token's text, kind and half-open byte span."""
 
     source: str
-    tokens: tuple[Token, ...] = field(default=())
+    texts: tuple[str, ...] = ()
+    kinds: tuple[TokenKind, ...] = ()
+    starts: tuple[int, ...] = ()
+    ends: tuple[int, ...] = ()
 
     @property
     def word_count(self) -> int:
-        return len(self.tokens) - self.lowered.count(None)
+        return len(self.texts) - self.lowered.count(None)
+
+    @cached_property
+    def tokens(self) -> tuple[Token, ...]:
+        """The tokens as ``Token`` objects; built on first use."""
+        return tuple(map(Token, self.texts, self.starts, self.ends, self.kinds))
 
     @cached_property
     def lowered(self) -> tuple[str | None, ...]:
         """Each token's lowercased text, None for punctuation; built once."""
         return tuple(
-            None if t.kind is TokenKind.PUNCTUATION else t.text.lower() for t in self.tokens
+            None if kind is TokenKind.PUNCTUATION else text.lower()
+            for text, kind in zip(self.texts, self.kinds)
         )
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.texts)
 
 
 _CHUNK_RE = re.compile(r"\S+")
@@ -88,20 +98,10 @@ def tokenize(text: str) -> TokenSequence:
     else is a WORD. Deterministic, and empty input yields an empty sequence.
     Spans are byte offsets into the UTF-8 encoding of ``text``.
     """
-    tokens: list[Token] = []
-    # Byte offsets come from a cursor at the last token edge: each token
-    # encodes only the gap before it and its own text.
-    char_at = byte_at = 0
-
-    def emit(cstart: int, cend: int, kind: TokenKind) -> None:
-        nonlocal char_at, byte_at
-        piece = text[cstart:cend]
-        start = byte_at + len(text[char_at:cstart].encode("utf-8"))
-        char_at, byte_at = cend, start + len(piece.encode("utf-8"))
-        tokens.append(Token(piece, start, byte_at, kind))
-
+    kinds: list[TokenKind] = []
+    cuts: list[int] = []  # char offsets: each token's start, then its end
     for m in _CHUNK_RE.finditer(text):
-        lo, hi = m.start(), m.end()
+        lo, hi = m.span()
         # Leading punctuation run.
         lead = lo
         while lead < hi and _is_punct_char(text[lead]):
@@ -111,12 +111,22 @@ def tokenize(text: str) -> TokenSequence:
         while trail > lead and _is_punct_char(text[trail - 1]):
             trail -= 1
         if lead > lo:
-            emit(lo, lead, TokenKind.PUNCTUATION)
+            cuts += (lo, lead)
+            kinds.append(TokenKind.PUNCTUATION)
         if trail > lead:
-            emit(lead, trail, _classify_core(text[lead:trail]))
+            cuts += (lead, trail)
+            kinds.append(_classify_core(text[lead:trail]))
         if hi > trail:
-            emit(trail, hi, TokenKind.PUNCTUATION)
-    return TokenSequence(source=text, tokens=tuple(tokens))
+            cuts += (trail, hi)
+            kinds.append(TokenKind.PUNCTUATION)
+    texts = tuple(map(text.__getitem__, map(slice, cuts[::2], cuts[1::2])))
+    if not text.isascii():  # else a char offset is a byte offset
+        # A cursor turns each cut into bytes, encoding only the text since the last.
+        char_at = byte_at = 0
+        for n, cut in enumerate(cuts):
+            byte_at += len(text[char_at:cut].encode("utf-8"))
+            char_at, cuts[n] = cut, byte_at
+    return TokenSequence(text, texts, tuple(kinds), tuple(cuts[::2]), tuple(cuts[1::2]))
 
 
 def insert_at(text: str, pos: int, phrase: str) -> str:

@@ -291,6 +291,31 @@ def test_run_resume_cli(tmp_path, capsys):
     assert strip(first) == strip(out.read_text())
 
 
+def test_run_scores_prompts_with_the_given_lexicon(tmp_path, capsys):
+    # Before, run took no --lexicon and scored every prompt with the default.
+    from promptdensity.lexicon import load_lexicon, read_data_file
+    from promptdensity.scoring import analyze
+
+    lexicon = tmp_path / "no_hedges.txt"
+    lexicon.write_text("\n".join(line for line in read_data_file(None, "lexicon.txt").splitlines()
+                                 if not line.startswith("HEDGE\t")), encoding="utf-8")
+    items = make_synthetic_manifest(6, seed=2)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(manifest_to_json(items)))
+    code, out, _ = run_cli(capsys, "run", "--manifest", str(manifest), "--runs", "1",
+                           "--lexicon", str(lexicon))
+    assert code == 0
+    texts = {(i.benchmark, i.item_id, c): t for i in items for c, t in i.variants.items()}
+    lex = load_lexicon(str(lexicon))
+    records = json.loads(out)
+    got = [r["sde"] for r in records]
+    want = [round(analyze(texts[r["benchmark"], r["item_id"], r["condition"]], lex).sde, 4)
+            for r in records]
+    assert got == want
+    assert want != [round(analyze(texts[r["benchmark"], r["item_id"], r["condition"]]).sde, 4)
+                    for r in records]
+
+
 @pytest.fixture
 def small_manifest(tmp_path):
     path = tmp_path / "m.json"

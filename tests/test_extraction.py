@@ -152,6 +152,20 @@ def test_exact_match_in_any_script(response, truth, expected):
     assert match_exact(response, truth) is expected
 
 
+@pytest.mark.parametrize("response,truth,expected", [
+    # Before, a truth in a script written without spaces only matched as a
+    # whole word between spaces or punctuation.
+    ("答えは東京です。", "東京", True),
+    ("東京です", "東京", True),
+    ("東京都です", "東京", True),
+    ("答えは大阪です。", "東京", False),
+    ("คำตอบคือกรุงเทพ", "กรุงเทพ", True),
+    ("Tokyoite lives here", "Tokyo", False),  # spaced scripts keep the word rule
+])
+def test_exact_match_in_a_script_without_spaces(response, truth, expected):
+    assert match_exact(response, truth) is expected
+
+
 def test_exact_match_of_a_truth_without_words_is_false():
     # Without the empty-needle guard an empty truth would be found in every reply.
     assert match_exact("!!!", "!!!") is False

@@ -449,6 +449,21 @@ def test_gradient_tokenizes_only_to_analyze(corpus, monkeypatch):
         assert gradient_variants(text, TARGETS, seed=3)
 
 
+def test_text_paths_build_no_token_objects(corpus, monkeypatch):
+    # Every text path reads the sequence's columns; only ``seq.tokens``
+    # builds Token objects.
+    def no_token(*args):
+        raise AssertionError("a Token was built")
+
+    monkeypatch.setattr("promptdensity.tokens.Token", no_token)
+    for text in corpus[:6]:
+        analyze(text)
+        lint(text)
+        densify(text)
+        dilute(text, seed=1)
+        assert gradient_variants(text, TARGETS, seed=3)
+
+
 def test_ladder_analyzes_densified_base_once(corpus, monkeypatch):
     # The ladder starts from densify's own last analysis: its calls are
     # densify's, then one per new ladder text, and the base is not analysed

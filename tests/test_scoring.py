@@ -30,7 +30,7 @@ from promptdensity.scoring import (
     insert_word,
     stem,
 )
-from promptdensity.tokens import Token, TokenKind, TokenSequence, tokenize
+from promptdensity.tokens import Token, TokenKind, TokenSequence, insert_at, tokenize
 
 from conftest import ARC_CLASSES, ARC_TARGETS
 
@@ -392,6 +392,34 @@ def test_insert_word_equals_analyze(lex, text, pick, word):
     words = [k for k, t in enumerate(tokens) if t.kind is TokenKind.WORD]
     assume(words)
     _check_insertion(lex, text, words[pick % len(words)], word)
+
+
+@_LEXICONS
+@settings(max_examples=40, deadline=None)
+@given(text=_INSERT_TEXT,
+       steps=st.lists(st.tuples(st.integers(0, 1000), _INSERT_WORDS), min_size=1, max_size=40))
+def test_insert_word_chain_equals_analyze(lex, text, steps):
+    # As in a ladder, each step starts from the one before, so a running
+    # count that drifts shows up at a later step.
+    try:
+        current = analyze(text, lex)
+    except EmptyPromptError:
+        assume(False)
+    for pick, word in steps:
+        seq = current.seq
+        words = [k for k, kind in enumerate(seq.kinds) if kind is TokenKind.WORD]
+        if not words:
+            break
+        k = words[pick % len(words)]
+        after = analyze(insert_at(seq.source, seq.starts[k], word), lex)
+        got = insert_word(current, k, word, lex)
+        if got is not None:
+            assert got == after
+            assert (got.semantic_count, got.word_count, got.redundancy, got.concreteness,
+                    got.sde) == (after.semantic_count, after.word_count, after.redundancy,
+                                 after.concreteness, after.sde)
+            assert list(got.matches) == list(after.matches)
+        current = got or after
 
 
 @_LEXICONS

@@ -201,7 +201,8 @@ def _oracle_tokenize(text: str) -> TokenSequence:
             emit(lead, trail, _classify_core(text[lead:trail]))
         if hi > trail:
             emit(trail, hi, TokenKind.PUNCTUATION)
-    return TokenSequence(source=text, tokens=tuple(tokens))
+    return TokenSequence(text, tuple(t.text for t in tokens), tuple(t.kind for t in tokens),
+                         tuple(t.start for t in tokens), tuple(t.end for t in tokens))
 
 
 # Any code point, plus the characters that sit at token edges and a lone
