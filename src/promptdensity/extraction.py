@@ -52,7 +52,8 @@ def extract_mc_letter(response: str) -> tuple[str | None, ExtractionMethod]:
 
     Primary: the first valid letter after the last occurrence of the
     pattern "the answer is". Fallback: the first standalone valid letter
-    anywhere in the response.
+    anywhere in the response, an uppercase one before any lowercase one
+    (so the article "a" is no option A).
     """
     matches = list(_PRIMARY_RE.finditer(response))
     if matches:
@@ -60,21 +61,34 @@ def extract_mc_letter(response: str) -> tuple[str | None, ExtractionMethod]:
         m = _AFTER_PATTERN_RE.match(tail)
         if m and m.group(1).upper() in MC_LETTERS:
             return m.group(1).upper(), ExtractionMethod.PRIMARY_PATTERN
-    for m in _STANDALONE_LETTER_RE.finditer(response):
-        letter = m.group(1).upper()
-        if letter in MC_LETTERS:
-            return letter, ExtractionMethod.FALLBACK
+    letters = [m.group(1) for m in _STANDALONE_LETTER_RE.finditer(response)
+               if m.group(1).upper() in MC_LETTERS]
+    if letters:
+        letter = next((c for c in letters if c.isupper()), letters[0])
+        return letter.upper(), ExtractionMethod.FALLBACK
     return None, ExtractionMethod.NONE
 
 
+def _extract_integer(response: str) -> tuple[int | None, ExtractionMethod]:
+    """The integer of ``extract_integer`` and how it was found."""
+    cues = list(_PRIMARY_RE.finditer(response))
+    after_cue = _NUMBER_RE.search(response, cues[-1].end()) if cues else None
+    if after_cue:
+        literal, method = after_cue.group(), ExtractionMethod.PRIMARY_PATTERN
+    else:
+        literals = _NUMBER_RE.findall(response)
+        if not literals:
+            return None, ExtractionMethod.NONE
+        literal, method = literals[-1], ExtractionMethod.FALLBACK
+    literal = literal.replace(",", "").replace("−", "-")
+    return int(Decimal(literal).quantize(Decimal("1"), rounding=ROUND_HALF_UP)), method
+
+
 def extract_integer(response: str) -> int | None:
-    """Extract the last integer in the response; decimals round to the
+    """Extract an integer: the first after the last occurrence of "the
+    answer is", else the last in the response. Decimals round to the
     nearest integer with halves away from zero."""
-    matches = _NUMBER_RE.findall(response)
-    if not matches:
-        return None
-    literal = matches[-1].replace(",", "").replace("−", "-")
-    return int(Decimal(literal).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
+    return _extract_integer(response)[0]
 
 
 def answer_words(text: str) -> list[str]:
@@ -116,11 +130,11 @@ def score_response(response: str, answer_format: AnswerFormat, ground_truth: str
         correct = letter is not None and letter == ground_truth.strip().upper()
         return TrialOutcome(letter, correct, method)
     if answer_format is AnswerFormat.INTEGER:
-        value = extract_integer(response)
+        value, method = _extract_integer(response)
         if value is None:
-            return TrialOutcome(None, False, ExtractionMethod.NONE)
+            return TrialOutcome(None, False, method)
         correct = value == int(str(ground_truth).strip())
-        return TrialOutcome(str(value), correct, ExtractionMethod.PRIMARY_PATTERN)
+        return TrialOutcome(str(value), correct, method)
     if answer_format is AnswerFormat.EXACT_STRING:
         matched = match_exact(response, ground_truth)
         extracted = ground_truth if matched else None

@@ -13,6 +13,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from . import wordlists
 from .errors import EmptyPromptError, PromptDensityError
@@ -26,7 +27,7 @@ from .lexicon import (
     match_phrases,
     scan_phrases,
 )
-from .tokens import TokenKind, TokenSequence, insert_at, tokenize
+from .tokens import MEMO_MAX_CHARS, TokenKind, TokenSequence, insert_at, tokenize
 
 
 class LabelKind(Enum):
@@ -124,13 +125,28 @@ class PromptAnalysis:
         }
 
 
+# Distinct (lowered word, suffix set) pairs whose stems ``_stem_verdict``
+# remembers; like the chunks of ``tokenize``, the words of prompts repeat.
+STEM_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=STEM_MEMO_SIZE)
+def _stem_verdict(lower: str, suffixes: frozenset[str]) -> tuple[str, bool]:
+    """The stem of a lowercase word (ing/ed/es/s stripped), and whether the
+    stem ends in one of ``suffixes`` that hangs off a real stem ("density",
+    not "city")."""
+    word_stem = lower
+    for suffix in ("ing", "ed", "es", "s"):
+        if lower.endswith(suffix) and len(lower) - len(suffix) >= 3:
+            word_stem = lower[: -len(suffix)]
+            break
+    return word_stem, any(word_stem.endswith(suffix) and len(word_stem) >= len(suffix) + 3
+                          for suffix in suffixes)
+
+
 def stem(word: str) -> str:
     """Cheap suffix stripper (ing/ed/es/s) used by the redundancy rule."""
-    w = word.lower()
-    for suffix in ("ing", "ed", "es", "s"):
-        if w.endswith(suffix) and len(w) - len(suffix) >= 3:
-            return w[: -len(suffix)]
-    return w
+    return _stem_verdict.__wrapped__(word.lower(), frozenset())[0]  # leaves the memo alone
 
 
 def classify_tokens(
@@ -196,7 +212,8 @@ def _label_span(seq: TokenSequence, lo: int, hi: int, matches: Sequence[PhraseMa
                 labels.append(_FUNCTION_LABEL)
                 continue
 
-        word_stem = stem(lower)
+        verdict = _stem_verdict if len(lower) <= MEMO_MAX_CHARS else _stem_verdict.__wrapped__
+        word_stem, nominal_suffix = verdict(lower, suffixes)
         redundant = False
         if word and len(text) >= config.redundancy_min_len:
             redundant = word_stem in seen_stems
@@ -210,13 +227,11 @@ def _label_span(seq: TokenSequence, lo: int, hi: int, matches: Sequence[PhraseMa
         ):  # a capital away from a sentence start names something
             concrete = True
         else:
-            # The suffix must hang off a real stem ("density", not "city").
             concrete = not (
                 lower in config.abstract_words
                 or lower in nominalizations
                 or word_stem in nominalizations
-                or any(word_stem.endswith(suffix) and len(word_stem) >= len(suffix) + 3
-                       for suffix in suffixes)
+                or nominal_suffix
             )
         labels.append(_SEMANTIC_LABELS[redundant, concrete])
     return labels

@@ -11,7 +11,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 
 class TokenKind(Enum):
@@ -53,7 +53,8 @@ class TokenSequence:
 
     @cached_property
     def lowered(self) -> tuple[str | None, ...]:
-        """Each token's lowercased text, None for punctuation; built once."""
+        """Each token's lowercased text, None for punctuation; ``tokenize``
+        fills it, and a hand-built sequence builds it on first use."""
         return tuple(
             None if kind is TokenKind.PUNCTUATION else text.lower()
             for text, kind in zip(self.texts, self.kinds)
@@ -89,6 +90,51 @@ def _classify_core(text: str) -> TokenKind:
     return TokenKind.WORD
 
 
+# Distinct chunks whose tokens ``_split_chunk`` remembers. Prompts draw on
+# a small vocabulary, so nearly every chunk of a prompt has been seen before.
+CHUNK_MEMO_SIZE = 4096
+# Longer chunks and words (a URL, a paragraph of an unspaced script) seldom
+# repeat and bypass the memos here and in ``scoring``, so a full memo's size
+# does not grow with the longest text a process has seen.
+MEMO_MAX_CHARS = 64
+
+
+@lru_cache(maxsize=CHUNK_MEMO_SIZE)
+def _split_chunk(chunk: str) -> tuple[tuple[str, ...], tuple[TokenKind, ...],
+                                      tuple[str | None, ...], tuple[int, ...], tuple[int, ...]]:
+    """The tokens of one whitespace-free chunk: their texts, kinds and
+    lowered texts (None for punctuation), and their UTF-8 byte starts and
+    ends relative to the chunk. Raises UnicodeEncodeError on a lone surrogate."""
+    hi = len(chunk)
+    # Leading punctuation run.
+    lead = 0
+    while lead < hi and _is_punct_char(chunk[lead]):
+        lead += 1
+    # Trailing punctuation run (never past the leading run).
+    trail = hi
+    while trail > lead and _is_punct_char(chunk[trail - 1]):
+        trail -= 1
+    texts: list[str] = []
+    kinds: list[TokenKind] = []
+    if lead:
+        texts.append(chunk[:lead])
+        kinds.append(TokenKind.PUNCTUATION)
+    if trail > lead:
+        texts.append(chunk[lead:trail])
+        kinds.append(_classify_core(texts[-1]))
+    if hi > trail:
+        texts.append(chunk[trail:])
+        kinds.append(TokenKind.PUNCTUATION)
+    lowered = tuple(None if kind is TokenKind.PUNCTUATION else text.lower()
+                    for text, kind in zip(texts, kinds))
+    starts, ends, at = [], [], 0
+    for piece in texts:
+        starts.append(at)
+        at += len(piece.encode("utf-8"))
+        ends.append(at)
+    return tuple(texts), tuple(kinds), lowered, tuple(starts), tuple(ends)
+
+
 def tokenize(text: str) -> TokenSequence:
     """Split text into span-tracked tokens.
 
@@ -98,35 +144,31 @@ def tokenize(text: str) -> TokenSequence:
     else is a WORD. Deterministic, and empty input yields an empty sequence.
     Spans are byte offsets into the UTF-8 encoding of ``text``.
     """
+    texts: list[str] = []
     kinds: list[TokenKind] = []
-    cuts: list[int] = []  # char offsets: each token's start, then its end
+    lowered: list[str | None] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    ascii_text = text.isascii()  # then a char offset is a byte offset
+    char_at = byte_at = 0  # where the last chunk ended
     for m in _CHUNK_RE.finditer(text):
+        chunk = m[0]
+        split = _split_chunk if len(chunk) <= MEMO_MAX_CHARS else _split_chunk.__wrapped__
+        chunk_texts, chunk_kinds, chunk_lowered, chunk_starts, chunk_ends = split(chunk)
         lo, hi = m.span()
-        # Leading punctuation run.
-        lead = lo
-        while lead < hi and _is_punct_char(text[lead]):
-            lead += 1
-        # Trailing punctuation run (never past the leading run).
-        trail = hi
-        while trail > lead and _is_punct_char(text[trail - 1]):
-            trail -= 1
-        if lead > lo:
-            cuts += (lo, lead)
-            kinds.append(TokenKind.PUNCTUATION)
-        if trail > lead:
-            cuts += (lead, trail)
-            kinds.append(_classify_core(text[lead:trail]))
-        if hi > trail:
-            cuts += (trail, hi)
-            kinds.append(TokenKind.PUNCTUATION)
-    texts = tuple(map(text.__getitem__, map(slice, cuts[::2], cuts[1::2])))
-    if not text.isascii():  # else a char offset is a byte offset
-        # A cursor turns each cut into bytes, encoding only the text since the last.
-        char_at = byte_at = 0
-        for n, cut in enumerate(cuts):
-            byte_at += len(text[char_at:cut].encode("utf-8"))
-            char_at, cuts[n] = cut, byte_at
-    return TokenSequence(text, texts, tuple(kinds), tuple(cuts[::2]), tuple(cuts[1::2]))
+        if ascii_text:
+            at = lo
+        else:  # encode only the whitespace since the last chunk
+            at = byte_at + len(text[char_at:lo].encode("utf-8"))
+            char_at, byte_at = hi, at + chunk_ends[-1]
+        texts += chunk_texts
+        kinds += chunk_kinds
+        lowered += chunk_lowered
+        starts += map(at.__add__, chunk_starts)
+        ends += map(at.__add__, chunk_ends)
+    seq = TokenSequence(text, tuple(texts), tuple(kinds), tuple(starts), tuple(ends))
+    seq.__dict__["lowered"] = tuple(lowered)
+    return seq
 
 
 def insert_at(text: str, pos: int, phrase: str) -> str:

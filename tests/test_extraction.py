@@ -181,3 +181,28 @@ def test_ascii_and_non_ascii_text_split_into_the_same_words():
     assert answer_words(text) == words
     assert answer_words(text + " Été") == words + ["été"]
     assert answer_words("\u017ftra\u00dfe 7\u212a") == ["strasse", "7k"]  # folds to ASCII
+
+
+@pytest.mark.parametrize("response,value", [
+    # Before, the last integer won even after the cue: these scored 7 and 2.
+    ("The answer is 42. That is 6 times 7.", 42),
+    ("6 * 7 = 42. The answer is 42. Step count: 2", 42),
+    ("The answer is 12. No wait, the answer is -3.5, so 4 steps.", -4),
+])
+def test_integer_follows_the_answer_cue(response, value):
+    assert extract_integer(response) == value
+    outcome = score_response(response, AnswerFormat.INTEGER, str(value))
+    assert outcome.correct and outcome.method is ExtractionMethod.PRIMARY_PATTERN
+
+
+@pytest.mark.parametrize("response", ["3 + 4 makes 7", "3 + 4 = 7, so the answer is seven."])
+def test_integer_without_a_number_after_the_cue_is_a_fallback(response):
+    outcome = score_response(response, AnswerFormat.INTEGER, "7")
+    assert outcome.correct and outcome.method is ExtractionMethod.FALLBACK
+
+
+def test_letter_fallback_prefers_an_uppercase_letter():
+    # Before, the article "a" was taken as option A.
+    response = "This is a tricky one. The largest value is 90, so C."
+    assert extract_mc_letter(response) == ("C", ExtractionMethod.FALLBACK)
+    assert extract_mc_letter("so it is d, not a") == ("D", ExtractionMethod.FALLBACK)

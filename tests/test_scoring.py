@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from promptdensity import wordlists
+from promptdensity import scoring, tokens, wordlists
 from promptdensity.errors import EmptyPromptError, PromptDensityError
 from promptdensity.lexicon import (
     NOISE_CATEGORIES,
@@ -618,3 +620,77 @@ def test_classify_tokens_equals_earlier_rules(text, min_len, function_extra, abs
     matches = match_phrases(seq, lex)
     expected = tuple(_label_span(seq, 0, len(seq), matches, lex, earlier, set()))
     assert classify_tokens(seq, lex, config) == expected
+
+
+# ---------------------------------------------------------------------------
+# The word memos are shared by every analysis in the process
+# ---------------------------------------------------------------------------
+
+# "density" is abstract by a default suffix only, "Measure" by one of the
+# other set only, and "statement" by one of both.
+_SUFFIX_TEXT = "Measure the density of sorted gases, statement by statement."
+_OTHER_SUFFIXES = Lexicon({**default_lexicon().entries,
+                           Category.NOMINALIZATION_SUFFIX: frozenset({"ure", "ment"})})
+
+
+def _clear_memos():
+    tokens._split_chunk.cache_clear()
+    scoring._stem_verdict.cache_clear()
+
+
+def _cold_analyze(text, lex=None):
+    _clear_memos()
+    return analyze(text, lex)
+
+
+def test_analyses_across_suffix_sets_equal_cold_ones(corpus):
+    texts = [_SUFFIX_TEXT, *corpus]
+    lexicons = [default_lexicon(), _OTHER_SUFFIXES, default_lexicon()]
+    _clear_memos()
+    warm = [[analyze(text, lex) for text in texts] for lex in lexicons]
+    assert warm == [[_cold_analyze(text, lex) for text in texts] for lex in lexicons]
+    assert warm[0][0].labels != warm[1][0].labels  # the suffix sets label differently
+    assert warm[0] == warm[2]
+
+
+def test_a_long_word_bypasses_the_stem_memo():
+    long_word = "x" * 70 + "ity"  # abstract by its suffix, memo or not
+    _clear_memos()
+    analysis = analyze(f"{long_word} measures density twice, {long_word}.")
+    labels = [lab for lab in analysis.labels if lab.kind is LabelKind.SEMANTIC]
+    assert [(lab.redundant, lab.concrete) for lab in labels] == [
+        (False, False), (False, True), (False, False), (False, True), (True, False)]
+    assert scoring._stem_verdict.cache_info().currsize == 3  # measures, density, twice
+
+
+def test_analyses_in_threads_equal_serial_ones():
+    rng = random.Random(3)
+    shared = sorted(wordlists.ABSTRACT_WORDS)[:200] + sorted(default_lexicon().phrases(Category.UNIT))
+    # Each thread's texts add words of their own, about 1,100 per thread, so
+    # the threads evict from both memos while they share them.
+    texts = [
+        [" ".join(rng.choice(shared) if rng.random() < 0.5 else f"w{thread}x{rng.randrange(1200)}ing"
+                  for _ in range(120)) + "." for _ in range(50)]
+        for thread in range(4)
+    ]
+    serial = [[_cold_analyze(text) for text in batch] for batch in texts]
+    results: list[list | None] = [None] * len(texts)
+
+    def work(n):
+        results[n] = [analyze(text) for text in texts[n]]
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(len(texts))]
+    _clear_memos()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == serial
+    assert tokens._split_chunk.cache_info().misses > tokens.CHUNK_MEMO_SIZE
+    assert scoring._stem_verdict.cache_info().misses > scoring.STEM_MEMO_SIZE

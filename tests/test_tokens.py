@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from promptdensity import tokens
 from promptdensity.tokens import Token, TokenKind, TokenSequence, tokenize, word_count
 
 
@@ -240,3 +241,58 @@ def test_shortcuts_hold_for_every_code_point():
 def test_lowered_is_lowercase_text_or_none():
     seq = tokenize("Which ONE, of «Σ» 2?")
     assert seq.lowered == ("which", "one", None, "of", None, "σ", None, "2", None)
+
+
+# ---------------------------------------------------------------------------
+# The chunk memo: cold, warm and past its bound, the oracle's result
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(_EDGY_TEXT)
+def test_tokenize_equals_earlier_tokenizer_cold_and_warm(text):
+    tokens._split_chunk.cache_clear()
+    try:
+        expected = _oracle_tokenize(text)
+    except UnicodeEncodeError:
+        for _ in range(2):
+            with pytest.raises(UnicodeEncodeError):
+                tokenize(text)
+        return
+    for _ in range(2):  # the second call finds every chunk in the memo
+        got = tokenize(text)
+        assert got == expected
+        assert got.lowered == expected.lowered
+
+
+def test_a_chunk_that_raises_is_not_remembered():
+    tokens._split_chunk.cache_clear()
+    with pytest.raises(UnicodeEncodeError):
+        tokenize("ok \ud800x fine")
+    assert tokens._split_chunk.cache_info().currsize == 1  # "ok", the chunk before it
+
+
+def test_more_distinct_chunks_than_the_bound():
+    rng = random.Random(7)
+    letters = "abcdefghijklmnopqrstuvwxyzéßΣж漢"
+    words = {"".join(rng.choice(letters) for _ in range(rng.randrange(2, 9)))
+             for _ in range(2 * tokens.CHUNK_MEMO_SIZE)}
+    marks = ("", "", "(", "«", ".", ",", "):")
+    text = " ".join(rng.choice(marks) + w + rng.choice(marks) for w in sorted(words))
+    assert len(set(text.split())) > tokens.CHUNK_MEMO_SIZE
+    tokens._split_chunk.cache_clear()
+    for _ in range(2):  # the second pass evicts what the first put in
+        got = tokenize(text)
+        expected = _oracle_tokenize(text)
+        assert got == expected and got.lowered == expected.lowered
+        info = tokens._split_chunk.cache_info()
+        assert info.currsize <= info.maxsize == tokens.CHUNK_MEMO_SIZE
+
+
+def test_a_long_chunk_bypasses_the_memo():
+    long_chunk = "«" + "ab漢é" * 20 + "»."
+    text = f"short {long_chunk} words {long_chunk}"
+    tokens._split_chunk.cache_clear()
+    got = tokenize(text)
+    expected = _oracle_tokenize(text)
+    assert got == expected and got.lowered == expected.lowered
+    assert tokens._split_chunk.cache_info().currsize == 2  # "short" and "words"

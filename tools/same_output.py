@@ -16,7 +16,9 @@ where preambles are inserted, to 1.0, often out of reach, on each text and
 on all texts joined into one), score, lint, densify and gradient again
 under two --config files (redundancy_min_len 0 and 4, extra function and
 abstract words, moved class thresholds) and under a --lexicon with no HEDGE entries and extra
-UNIT entries, validate --strict (also under both --config files), run
+UNIT entries, score and lint (plain, and under both --config files and the --lexicon) on a
+seeded text of more distinct words than the tokenizer's and scorer's 4,096-entry memos
+hold, some of them non-ASCII and a few too long for the memos, validate --strict (also under both --config files), run
 (stdout, and --out with the results and .partial files), run --resume from a .partial file cut to its first
 lines and half a line, analyze (text, --csv, --json) and mcnemar at several
 thresholds and condition pairs. Timestamps and temporary paths are masked. It prints
@@ -33,6 +35,7 @@ import difflib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -72,6 +75,12 @@ EXACT_STRINGS = (
     ("cities", "東京", "Which city is the capital of Japan? "
      "Reply with the city name in Japanese script.", "Capital, Japan: kanji name."),
 )
+# Distinct words of the seeded text that overflows the word memos, and the
+# letters, suffixes and edge marks they are made of.
+OVERFLOW_WORDS = 6000
+OVERFLOW_LETTERS = "abcdefghijklmnopqrstuvwxyz" * 10 + "éüßçσжя漢"
+OVERFLOW_SUFFIXES = ("", "", "", "s", "ing", "ed", "ness", "ity", "ment", "ence")
+OVERFLOW_MARKS = ("", "", "", "", "(", ")", ".", ",", ":", "«", "»")
 # Lines of the two-model run's 480-line .partial file that a resumed run
 # starts from: all of one model's and some of the other's.
 RESUME_KEPT = 300
@@ -107,6 +116,27 @@ def _call(cli, argv: list[str]) -> dict:
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def _overflow_text(seed: int = 33) -> str:
+    """OVERFLOW_WORDS distinct words, some capitalised or between edge marks,
+    each used once or twice, with units, numbers, noise phrases and a few
+    words too long for the memos (over 64 characters) between."""
+    rng = random.Random(seed)
+    words: dict[str, None] = {}  # insertion-ordered, so the text is the same every run
+    while len(words) < OVERFLOW_WORDS:
+        word = "".join(rng.choice(OVERFLOW_LETTERS) for _ in range(rng.randrange(2, 9)))
+        words[word + rng.choice(OVERFLOW_SUFFIXES)] = None
+    pieces = []
+    for word in words:
+        for _ in range(rng.choice((1, 1, 2))):
+            shown = word.capitalize() if rng.random() < 0.2 else word
+            pieces.append(rng.choice(OVERFLOW_MARKS) + shown + rng.choice(OVERFLOW_MARKS))
+        if rng.random() < 0.1:
+            pieces.append(rng.choice(("12 km", "3.5", "basically", "in order to", "I think")))
+        if rng.random() < 0.01:
+            pieces.append(word * (65 // len(word) + 1) + rng.choice(OVERFLOW_MARKS))
+    return " ".join(pieces)
+
+
 def _write_json(path: str, document) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(document, fh, indent=2, ensure_ascii=False)
@@ -133,6 +163,8 @@ def prepare(tree: str, inputs: str) -> None:
             fh.write(text)
     with open(os.path.join(inputs, "long_joined.txt"), "w", encoding="utf-8") as fh:
         fh.write(" ".join(texts))
+    with open(os.path.join(inputs, "memo_overflow.txt"), "w", encoding="utf-8") as fh:
+        fh.write(_overflow_text())
     for min_len in (0, 4):
         _write_json(os.path.join(inputs, f"config_min{min_len}.json"),
                     {**CONFIG, "redundancy_min_len": min_len})
@@ -223,6 +255,10 @@ def collect(tree: str, inputs: str, outdir: str, report: str) -> None:
         for setting in settings:
             for command in ("score", "lint", "densify", "gradient"):
                 cases.append(([command, path, "--json", *setting], None))
+    overflow = os.path.join(inputs, "memo_overflow.txt")
+    for setting in [[]] + settings:
+        for command in ("score", "lint"):
+            cases.append(([command, overflow, "--json", *setting], None))
     for name in texts + ["long_joined.txt"]:
         path = os.path.join(inputs, name)
         for seed in GRADIENT_SEEDS:
