@@ -26,6 +26,7 @@ from .harness import (
     load_manifest,
     load_results,
     read_json,
+    results_json,
     latency_report,
     format_latency_report,
     run_experiment,
@@ -344,7 +345,7 @@ def _cmd_run(args) -> int:
     if args.out:
         print(f"{len(records)} records -> {args.out}", file=sys.stderr)
     else:
-        print(json.dumps([r.to_json() for r in records], indent=2, ensure_ascii=False))
+        print("".join(results_json(records)))
     return 0
 
 

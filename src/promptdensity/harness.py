@@ -163,7 +163,7 @@ class BackendDescriptor:
 
 
 def _stable_uniform(*parts) -> float:
-    digest = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
+    digest = hashlib.sha256("|".join(map(str, parts)).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
@@ -199,16 +199,17 @@ class MockBackend:
     def complete(
         self, item: BenchmarkItem, condition: str, run: int, prompt: str, sde: float
     ) -> tuple[str, float, int]:
-        key = (self.seed, self.descriptor.model_id, item.benchmark, item.item_id, condition, run)
+        # Joined once: each draw hashes the key joined with its tag.
+        key = "|".join(map(str, (self.seed, self.descriptor.model_id, item.benchmark,
+                                 item.item_id, condition, run)))
         p_success = _sigmoid(self.intercept + self.slope * sde)
-        u_outcome = _stable_uniform(*key, "outcome")
-        if u_outcome < p_success:
+        if _stable_uniform(key, "outcome") < p_success:
             answer = str(item.ground_truth).strip()
         else:
-            answer = self._wrong_answer(item, _stable_uniform(*key, "wrong"))
+            answer = self._wrong_answer(item, _stable_uniform(key, "wrong"))
         response = f"The answer is {answer}."
-        latency = round(150.0 + 400.0 * _stable_uniform(*key, "latency"), 1)
-        tokens = len(response.split()) + int(8 * _stable_uniform(*key, "tokens"))
+        latency = round(150.0 + 400.0 * _stable_uniform(key, "latency"), 1)
+        tokens = len(response.split()) + int(8 * _stable_uniform(key, "tokens"))
         return response, latency, tokens
 
 
@@ -496,14 +497,31 @@ def _load_partial(path: str) -> dict[tuple, TrialRecord]:
     return done
 
 
+# A record's fields as an indent=2 array holds them, and a record as one
+# compact .partial line. Both run in the C encoder, which indent turns off;
+# every TrialRecord field is a scalar, so no nested value needs indenting.
+_encode_fields = json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": ")).encode
+_encode_line = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def results_json(records: list[TrialRecord]):
+    """The records as ``json.dumps(..., indent=2, ensure_ascii=False)``
+    writes their ``to_json`` list, one piece per record."""
+    yield "["
+    sep, end = "\n  {\n    ", "]"
+    for r in records:
+        yield sep + _encode_fields(r.to_json())[1:-1] + "\n  }"
+        sep, end = ",\n  {\n    ", "\n]"
+    yield end
+
+
 def save_results(records: list[TrialRecord], out_path: str) -> None:
     """Write the records sorted by key as a JSON array, through a synced
     temporary file renamed over ``out_path``, so a crash never tears it."""
-    payload = [r.to_json() for r in sorted(records, key=lambda r: r.key)]
     tmp_path = f"{out_path}.{os.getpid()}.tmp"
     try:
         with open(tmp_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, ensure_ascii=False)
+            fh.writelines(results_json(sorted(records, key=lambda r: r.key)))
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())
@@ -524,7 +542,9 @@ def load_results(path: str) -> list[TrialRecord]:
         raise PromptDensityError(f"{path}: {exc}") from None
     keys = [r.key for r in records]
     if len(set(keys)) != len(keys):
-        raise PromptDensityError("results file has duplicate record keys")
+        seen: set[tuple] = set()  # seen.add returns None: the first key seen twice
+        repeated = next(key for key in keys if key in seen or seen.add(key))
+        raise PromptDensityError(f"{path}: duplicate record key {repeated!r}")
     return records
 
 
@@ -707,7 +727,7 @@ def run_experiment(
             )
             records.append(record)
             if sink:
-                sink.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
+                sink.write(_encode_line(record.to_json()) + "\n")
                 sink.flush()
             if progress:
                 progress(task_index, len(tasks), record)

@@ -525,7 +525,7 @@ def gradient_variants(
 # ---------------------------------------------------------------------------
 
 _INSTR_RE = re.compile(
-    r"(?i)((?:please\s+)?(?:just\s+)?(?:reply|answer|respond)\b[^.?!]*(?:[.?!]+|$))"
+    r"(?i)(\b(?:please\s+)?(?:just\s+)?(?:reply|answer|respond)\b[^.?!]*(?:[.?!]+|$))"
 )
 _FORMAT_MARKERS = ("format", "answer is", "<")
 
@@ -536,20 +536,20 @@ def _is_sentence_start(text: str, pos: int) -> bool:
 
 
 def instruction_last(text: str) -> InstructionPlacement:
-    """Move the output-format instruction sentence to the end of the prompt.
+    """Move the output-format instruction sentences to the end of the prompt.
 
-    The instruction is the first span starting with reply/answer/respond
-    that either opens a sentence or mentions the response format. Without
-    one, the text is returned unchanged with ``found=False``. Idempotent.
+    An instruction is a span starting with reply/answer/respond that either
+    opens a sentence or mentions the response format. Every one moves, in
+    its order, so a second pass finds them already last. Without one, the
+    text is returned unchanged with ``found=False``. Idempotent.
     """
-    for m in _INSTR_RE.finditer(text):
-        span_text = m.group(1)
-        lowered = span_text.lower()
-        if _is_sentence_start(text, m.start(1)) or any(
-            marker in lowered for marker in _FORMAT_MARKERS
-        ):
-            rest = (text[: m.start(1)] + text[m.end(1) :]).strip()
-            reordered = " ".join(rest.split()) + " " + span_text.strip()
-            moved = bool(rest) and reordered != " ".join(text.split())
-            return InstructionPlacement(reordered if moved else text, found=True, moved=moved)
-    return InstructionPlacement(text, found=False, moved=False)
+    spans = [(m.start(1), m.end(1)) for m in _INSTR_RE.finditer(text)
+             if _is_sentence_start(text, m.start(1))
+             or any(marker in m.group(1).lower() for marker in _FORMAT_MARKERS)]
+    if not spans:
+        return InstructionPlacement(text, found=False, moved=False)
+    cuts = [0] + [cut for span in spans for cut in span] + [len(text)]  # around each span
+    rest = "".join(text[a:b] for a, b in zip(cuts[::2], cuts[1::2]))
+    reordered = " ".join((rest + " " + " ".join(text[a:b] for a, b in spans)).split())
+    moved = bool(rest.strip()) and reordered != " ".join(text.split())
+    return InstructionPlacement(reordered if moved else text, found=True, moved=moved)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from promptdensity import harness
 from promptdensity.errors import ManifestError, PromptDensityError
-from promptdensity.extraction import AnswerFormat
+from promptdensity.extraction import MC_LETTERS, AnswerFormat
 from promptdensity.harness import (
     BackendDescriptor,
     BackendKind,
@@ -391,12 +391,58 @@ def test_record_json_round_trip(record):
     assert type(back.sde) is float and back.sde == round(record.sde)
 
 
+# Any text a record may hold, lone surrogates included, with the characters
+# that JSON escapes or that end a line elsewhere drawn often.
+_ODD_TEXT = st.text(st.characters(exclude_categories=())
+                    | st.sampled_from('"\\\n\t\r\u2028\u2029\x00é漢😀'), max_size=12)
+_BIG_INT = st.integers(-2**70, 2**70)
+_ODD_RECORD = st.builds(
+    TrialRecord,
+    model=_ODD_TEXT,
+    benchmark=_ODD_TEXT,
+    item_id=_ODD_TEXT,
+    condition=_ODD_TEXT,
+    run=_BIG_INT,
+    correct=st.booleans(),
+    response=_ODD_TEXT,
+    latency_ms=st.floats() | _BIG_INT,  # NaN, ±inf and -0.0 among the floats
+    output_tokens=_BIG_INT,
+    sde=st.floats() | _BIG_INT,
+    timestamp=_ODD_TEXT,
+    error=st.none() | _ODD_TEXT,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ODD_RECORD, max_size=6))
+def test_results_writer_equals_the_indented_encoding(records):
+    payload = [r.to_json() for r in records]
+    assert "".join(harness.results_json(records)) == json.dumps(payload, indent=2, ensure_ascii=False)
+    for data in payload:
+        assert harness._encode_line(data) == json.dumps(data, ensure_ascii=False)
+    ordered = [r.to_json() for r in sorted(records, key=lambda r: r.key)]
+    with tempfile.TemporaryDirectory() as workdir:
+        out = Path(workdir) / "r.json"
+        try:
+            expected = (json.dumps(ordered, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate: no file is left, as before
+            with pytest.raises(UnicodeEncodeError):
+                save_results(records, str(out))
+            assert not list(Path(workdir).iterdir())
+        else:
+            save_results(records, str(out))
+            assert out.read_bytes() == expected
+
+
 def test_duplicate_keys_rejected_on_load(tmp_path):
     record = TrialRecord("m", "b", "i", "standard", 0, True, "x", 1.0, 1, 0.5, "t")
+    other = replace(record, item_id="j\nk")
     path = tmp_path / "dup.json"
-    path.write_text(json.dumps([record.to_json(), record.to_json()]))
-    with pytest.raises(PromptDensityError):
+    path.write_text(json.dumps([r.to_json() for r in (record, other, other, record)]))
+    # One line that names the file and the first repeated key.
+    with pytest.raises(PromptDensityError) as raised:
         load_results(str(path))
+    assert str(raised.value) == f"{path}: duplicate record key ('m', 'b', 'j\\nk', 'standard', 0)"
 
 
 def test_failed_save_leaves_previous_results_intact(tmp_path):
@@ -404,7 +450,7 @@ def test_failed_save_leaves_previous_results_intact(tmp_path):
     records = run_experiment(tiny_items(2), [build_backend(mock_descriptor(), seed=2)],
                              runs_per_item=1, out_path=str(out))
     before = out.read_bytes()
-    # Sorted last, this record stops json.dump after the others are written.
+    # Sorted last, this record stops the writer after the others are written.
     last = max(records, key=lambda r: r.key)
     broken = records + [replace(last, run=last.run + 1, response=object())]
     with pytest.raises(TypeError):
@@ -1116,3 +1162,37 @@ def test_mock_success_probability_is_the_logistic_of_its_logit():
                 assert (text == f"The answer is {item.ground_truth}.") is correct
                 hits += correct
     assert 0.25 < hits / 600 < 0.37
+
+
+# Key parts with the separator the key is joined with, and non-ASCII text.
+_KEY_PART = st.text(st.sampled_from("ab|é漢😀 ") | st.characters(exclude_categories=("Cs",)),
+                    max_size=8)
+_TRUTHS = {
+    AnswerFormat.MC_LETTER: st.sampled_from(MC_LETTERS),
+    AnswerFormat.INTEGER: st.integers(-10**6, 10**6).map(str),
+    AnswerFormat.EXACT_STRING: st.sampled_from(["Ada Lovelace", "Zürich", "Morgan Lee", "東京"]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(-2**40, 2**40), model=_KEY_PART, benchmark=_KEY_PART, item_id=_KEY_PART,
+       condition=_KEY_PART, run=st.integers(0, 10**6), sde=st.floats(-1.0, 1.0),
+       truth=st.sampled_from(list(_TRUTHS)).flatmap(
+           lambda answer_format: st.tuples(st.just(answer_format), _TRUTHS[answer_format])))
+def test_mock_draws_are_stable_uniforms_of_the_full_key(
+        seed, model, benchmark, item_id, condition, run, sde, truth):
+    backend = MockBackend(mock_descriptor(intercept=0.0, slope=4.0, model=model), seed=seed)
+    item = BenchmarkItem(item_id, benchmark, truth[0], truth[1], {condition: "x"})
+    key = (seed, model, benchmark, item_id, condition, run)
+
+    def draw(tag):
+        return harness._stable_uniform(*key, tag)
+
+    if draw("outcome") < harness._sigmoid(4.0 * sde):
+        answer = truth[1]
+    else:
+        answer = backend._wrong_answer(item, draw("wrong"))
+    response = f"The answer is {answer}."
+    expected = (response, round(150.0 + 400.0 * draw("latency"), 1),
+                len(response.split()) + int(8 * draw("tokens")))
+    assert backend.complete(item, condition, run, "x", sde) == expected

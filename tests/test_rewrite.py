@@ -507,10 +507,17 @@ def test_instruction_moved_to_end():
 
 
 def test_instruction_last_idempotent(arc_variants):
-    moved = instruction_last("Reply: The answer is <LETTER>. Which is a mixture? A. x B. y")
-    again = instruction_last(moved.output)
-    assert again.output == moved.output
-    assert not again.moved
+    two = "Answer in this format: JSON. Which is larger? Reply with one letter. A. 3 B. 4"
+    # Every instruction moves, in order; moving only the first put the
+    # second one first, and the next pass moved that.
+    assert instruction_last(two).output == ("Which is larger? A. 3 B. 4 "
+                                            "Answer in this format: JSON. Reply with one letter.")
+    for text in ("Reply: The answer is <LETTER>. Which is a mixture? A. x B. y", two,
+                 "Reply with one integer. Reply with one integer. a bit"):
+        moved = instruction_last(text)
+        again = instruction_last(moved.output)
+        assert again.output == moved.output
+        assert not again.moved
 
 
 def test_instruction_already_last_unchanged(arc_variants):

@@ -20,10 +20,12 @@ UNIT entries, score and lint (plain, and under both --config files and the --lex
 seeded text of more distinct words than the tokenizer's and scorer's 4,096-entry memos
 hold, some of them non-ASCII and a few too long for the memos, validate --strict (also under both --config files), run
 (stdout, and --out with the results and .partial files), run --resume from a .partial file cut to its first
-lines and half a line, analyze (text, --csv, --json) and mcnemar at several
-thresholds and condition pairs. Timestamps and temporary paths are masked. It prints
-how many outputs are identical and how many differ, with the first
-differing lines of each difference, and exits 1 if any differ.
+lines and half a line (some of those lines with replies that JSON escapes: a quote, a
+backslash, a newline, a tab, U+2028, non-ASCII text and an emoji; one of them with an error),
+analyze (text, --csv, --json) and mcnemar at several thresholds and condition pairs.
+Timestamps and temporary paths are masked. It prints how many outputs are identical
+and how many differ, with the first differing lines of each difference, and exits 1 if
+any differ.
 
 Standard library only; it is not part of the test suite.
 """
@@ -84,6 +86,9 @@ OVERFLOW_MARKS = ("", "", "", "", "(", ")", ".", ",", ":", "«", "»")
 # Lines of the two-model run's 480-line .partial file that a resumed run
 # starts from: all of one model's and some of the other's.
 RESUME_KEPT = 300
+# Every ESCAPED_EVERY-th kept line has ESCAPED_REPLY added to its reply.
+ESCAPED_EVERY = 37
+ESCAPED_REPLY = ' She said "no" \\ then\nleft\tat 5\u2028pm, née Zoë, 東京 😀'
 
 
 def _two_model_run(inputs: str) -> list[str]:
@@ -193,6 +198,14 @@ def prepare(tree: str, inputs: str) -> None:
     # the first half of the next line.
     with open(multi + ".partial", encoding="utf-8") as fh:
         lines = sorted(fh)
+    # Some kept lines get replies that the writers must escape, and one an
+    # error, so the resumed results file compares them through both trees.
+    for number in range(0, RESUME_KEPT, ESCAPED_EVERY):
+        record = json.loads(lines[number])
+        record["response"] += ESCAPED_REPLY
+        if number == 0:
+            record.update(correct=False, error=f"backend gave up after retries:{ESCAPED_REPLY}")
+        lines[number] = json.dumps(record, ensure_ascii=False) + "\n"
     with open(os.path.join(inputs, "resume.partial"), "w", encoding="utf-8") as fh:
         fh.writelines(lines[:RESUME_KEPT])
         fh.write(lines[RESUME_KEPT][:len(lines[RESUME_KEPT]) // 2])
