@@ -50,6 +50,9 @@ from .stats import (
 )
 
 SCHEMA_VERSION = "1"
+# Every key a --config file may hold; any other key is an error.
+CONFIG_KEYS = ("lexicon", "templates", "diluted_below", "dense_from", "ultra_above",
+               "redundancy_min_len", "function_words_extra", "abstract_words_extra")
 
 
 def _emit(payload: dict) -> None:
@@ -58,14 +61,9 @@ def _emit(payload: dict) -> None:
 
 
 def _is_path(value) -> bool:
-    """Whether a JSON value is a string that ``open`` takes as a file name."""
-    if not isinstance(value, str) or "\0" in value:
-        return False
-    try:
-        os.fsencode(value)
-    except UnicodeError:
-        return False
-    return True
+    """Whether a JSON value is a string that ``open`` takes as a file name;
+    ``read_json`` has refused every string that UTF-8 cannot encode."""
+    return isinstance(value, str) and "\0" not in value
 
 
 def _is_http_url(value) -> bool:
@@ -102,6 +100,9 @@ def _load_context(args) -> tuple[Lexicon, ScoreConfig, TemplateBank]:
         settings = read_json(args.config)
         if not isinstance(settings, dict):
             raise PromptDensityError(f"{args.config}: config must be a JSON object")
+        unknown = next((key for key in settings if key not in CONFIG_KEYS), None)
+        if unknown is not None:
+            raise PromptDensityError(f"{args.config}: unknown key {unknown!r}")
     for name in ("lexicon", "templates"):
         if not _is_path(settings.get(name, "")):
             raise PromptDensityError(f"{args.config}: {name!r} must be a path string")

@@ -2,19 +2,22 @@
 
 Every (model, item, condition, run) is issued exactly once and scored with
 the deterministic extractor. Each distinct prompt text is scored once
-before any request is sent. Then one worker thread per backend (at most
-``MAX_WORKERS`` at a time) walks the task list in order, so every backend
-has one request in flight and waits on different backends overlap. The
-worker waits out every backoff and pacing wait in slices, so a stopped run
-ends within one slice. A trial that backs off after a 5xx or a transport
-error is set aside while the later trials go out, and is retried once its
-backoff has passed, never sooner. A 429, or a second failure while one
-trial is set aside, holds the backend until a request gets a reply: no new
-trial goes out, and one trial at a time is retried, as a lone trial would
-be. A 200 whose body is not JSON or holds no reply text is an error record.
-The calling thread alone appends each finished trial to a crash-resumable
-partial file, in completion order, and calls ``progress``. The final
-results file is a JSON array sorted by record key.
+before any request is sent. Then each backend walks the task list in
+order. A backend that waits, one with ``attempts``, gets a worker thread
+(at most ``MAX_WORKERS`` at a time), so it has one request in flight and
+waits on different backends overlap; meanwhile the calling thread runs
+every other backend's trials itself. The worker waits out every backoff
+and pacing wait in slices, so a stopped run ends within one slice. A trial
+that backs off after a 5xx or a transport error is set aside while the
+later trials go out, and is retried once its backoff has passed, never
+sooner. A 429, or a second failure while one trial is set aside, holds
+the backend until a request gets a reply: no new trial goes out, and one
+trial at a time is retried, as a lone trial would be. A 200 whose body is
+not JSON or holds no reply text is an error record. The calling thread
+alone appends each finished trial to a crash-resumable partial file and
+calls ``progress``: its own trials as they finish, then the workers' in
+the order they finished. The final results file is a JSON array sorted by
+record key.
 
 The mock backend answers correctly with probability
 sigmoid(intercept + slope * prompt_score), deterministically per request
@@ -432,13 +435,42 @@ def validate_manifest(
     return items, issues
 
 
+# A JSON escape of a UTF-16 surrogate, which may stand alone.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _unencodable(value) -> str | None:
+    """The JSON path of the first string, key or value, in ``value`` that
+    UTF-8 cannot encode, or None."""
+    stack = [("$", value)]
+    while stack:
+        where, value = stack.pop()
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                return where
+        elif isinstance(value, (dict, list)):
+            pairs = value.items() if isinstance(value, dict) else enumerate(value)
+            for key, item in reversed(list(pairs)):  # popped in document order, key first
+                stack += [(f"{where}[{key!r}]", item), (f"{where}[{key!r}]", key)]
+    return None
+
+
 def read_json(path: str):
-    """The JSON document in ``path``; a file that is not JSON is a domain error."""
+    """The JSON document in ``path``; a file that is not JSON, or that
+    escapes a lone surrogate, is a domain error."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            text = fh.read()
+            data = json.loads(text)
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise PromptDensityError(f"{path}: not valid JSON: {exc}") from None
+    where = _unencodable(data) if _SURROGATE_ESCAPE.search(text) else None
+    if where:
+        raise PromptDensityError(f"{path}: the text at {where} holds a lone surrogate, "
+                                 "which UTF-8 cannot encode")
+    return data
 
 
 def load_manifest(path: str, strict: bool = False) -> list[BenchmarkItem]:
@@ -561,13 +593,15 @@ def run_experiment(
 ) -> list[TrialRecord]:
     """Run every (model, item, condition, run) once and return the records.
 
-    Backends run concurrently, one worker thread each, so their model ids
-    must be distinct. A backend with an ``attempts`` generator (see
-    ``HttpChatBackend``) has a trial that backs off set aside while its
-    worker sends the next ones, unless the backend is on hold. The worker
-    waits out every backoff and pacing wait through the backend's
-    ``sleep``, in slices, so a run that stops ends within one. Any other
-    backend runs each trial in one ``complete`` call.
+    Backend model ids must be distinct. A backend with an ``attempts``
+    generator (see ``HttpChatBackend``) runs on its own worker thread, at
+    most ``MAX_WORKERS`` at a time, and has a trial that backs off set aside
+    while its worker sends the next ones, unless the backend is on hold.
+    The worker waits out every backoff and pacing wait through the
+    backend's ``sleep``, in slices, so a run that stops ends within one.
+    Any other backend runs on the calling thread, each trial in one
+    ``complete`` call, while the workers wait; so a custom backend whose
+    ``complete`` blocks overlaps the others only if it has ``attempts``.
     ``progress(task_index, task_count, record)`` is called on the calling
     thread as each trial finishes. ``seed`` is unused: a mock backend takes
     its seed from ``build_backend``.
@@ -617,17 +651,19 @@ def run_experiment(
             if text not in scores:
                 scores[text] = analyze(text, lex, config).sde
 
-    # Execute: one worker per backend walks the tasks in order, so each
-    # backend has one request in flight and its pacing and retry state
-    # stay on one thread. Workers only wait on their backend. Imported
-    # here so that commands other than `run` start without them.
+    # Execute: each backend walks the tasks in order, so it has one request
+    # in flight and its pacing and retry state stay on one thread. A
+    # backend that waits gets a worker, which only waits on it; the calling
+    # thread runs the others. Imported here so that commands other than
+    # `run` start without them.
     import queue
     from concurrent.futures import Future, ThreadPoolExecutor
 
     finished: queue.Queue = queue.Queue()
     stop = threading.Event()
 
-    def work(backend) -> None:
+    def work(backend, deliver) -> None:
+        """Run the backend's pending trials; hand each finished one to ``deliver``."""
         model = backend.descriptor.model_id
         pending = (
             (task_index, task) for task_index, task in enumerate(tasks)
@@ -674,7 +710,7 @@ def run_experiment(
                 reply, error, hold = done.value, None, False
             except PromptDensityError as exc:
                 reply, error = ("", 0.0, 0), str(exc)
-            finished.put((task_index, model, reply, error))
+            deliver((task_index, model, reply, error))
 
         while not stop.is_set():
             if parked:
@@ -693,47 +729,56 @@ def run_experiment(
             task = next(pending, None)
 
     # Sink: this thread alone scores replies, appends to the partial file
-    # and reports progress; a finished worker's future arrives on the same
-    # queue.
+    # and reports progress; a worker's trials, and then its future, arrive
+    # on the queue.
     records: list[TrialRecord] = list(done.values())
     sink = open(partial, "a", encoding="utf-8") if partial else None
-    pool = ThreadPoolExecutor(max_workers=min(len(backends), MAX_WORKERS))
+
+    def finish(message) -> None:
+        task_index, model, (response, latency, tokens), error = message
+        item, condition, run = tasks[task_index]
+        outcome = score_response(response, item.answer_format, item.ground_truth)
+        record = TrialRecord(
+            model=model,
+            benchmark=item.benchmark,
+            item_id=item.item_id,
+            condition=condition,
+            run=run,
+            correct=False if error else outcome.correct,
+            response=response,
+            latency_ms=latency,
+            output_tokens=tokens,
+            sde=round(scores[item.variants[condition]], 4),
+            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            error=error,
+        )
+        records.append(record)
+        if sink:
+            sink.write(_encode_line(record.to_json()) + "\n")
+            sink.flush()
+        if progress:
+            progress(task_index, len(tasks), record)
+
+    waiting = [backend for backend in backends if getattr(backend, "attempts", None)]
+    pool = ThreadPoolExecutor(max_workers=min(len(waiting), MAX_WORKERS)) if waiting else None
     try:
+        for backend in waiting:
+            pool.submit(work, backend, finished.put).add_done_callback(finished.put)
         for backend in backends:
-            pool.submit(work, backend).add_done_callback(finished.put)
-        running = len(backends)
+            if not getattr(backend, "attempts", None):
+                work(backend, finish)
+        running = len(waiting)
         while running:
             message = finished.get()
             if isinstance(message, Future):
                 message.result()
                 running -= 1
-                continue
-            task_index, model, (response, latency, tokens), error = message
-            item, condition, run = tasks[task_index]
-            outcome = score_response(response, item.answer_format, item.ground_truth)
-            record = TrialRecord(
-                model=model,
-                benchmark=item.benchmark,
-                item_id=item.item_id,
-                condition=condition,
-                run=run,
-                correct=False if error else outcome.correct,
-                response=response,
-                latency_ms=latency,
-                output_tokens=tokens,
-                sde=round(scores[item.variants[condition]], 4),
-                timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                error=error,
-            )
-            records.append(record)
-            if sink:
-                sink.write(_encode_line(record.to_json()) + "\n")
-                sink.flush()
-            if progress:
-                progress(task_index, len(tasks), record)
+            else:
+                finish(message)
     finally:
         stop.set()
-        pool.shutdown()
+        if pool:
+            pool.shutdown()
         if sink:
             sink.close()
     records.sort(key=lambda r: r.key)

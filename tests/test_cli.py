@@ -4,13 +4,20 @@ import contextlib
 import io
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptdensity.cli import main
-from promptdensity.harness import make_synthetic_manifest, manifest_to_json, validate_manifest
+from promptdensity.errors import PromptDensityError
+from promptdensity.harness import (
+    make_synthetic_manifest,
+    manifest_to_json,
+    read_json,
+    validate_manifest,
+)
 
 from conftest import DATA_DIR
 
@@ -249,6 +256,46 @@ def test_validate_printable_item_id_unchanged(tmp_path, capsys):
     assert "q 1 é: answer_format must be one of" in err
 
 
+@pytest.mark.parametrize("field, where", [
+    pytest.param("id", "$['items'][0]['id']", id="id"),
+    pytest.param("variant", "$['items'][0]['variants']['standard']", id="variant"),
+])
+def test_lone_surrogate_in_manifest_domain_error(tmp_path, capsys, field, where):
+    # Both passed validate; run then died on a UnicodeEncodeError traceback.
+    item = {"id": "q1", "benchmark": "x", "answer_format": "integer", "ground_truth": "4",
+            "variants": {"standard": "Solve 2+2."}}
+    if field == "id":
+        item["id"] = "q\ud800"
+    else:
+        item["variants"]["standard"] = "Solve 2+2.\udc00"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"items": [item]}))  # escaped as \\ud800
+    for argv in (["validate", str(path)], ["validate", str(path), "--strict"],
+                 ["run", "--manifest", str(path), "--runs", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and f"{path}: the text at {where} holds a lone surrogate" in err
+
+
+def test_the_first_lone_surrogate_in_document_order_is_named(tmp_path):
+    path = tmp_path / "d.json"
+    key = "b\ud800"
+    path.write_text(json.dumps({"a": ["ok", {key: "\udbff"}], "c": "\udc00"}))
+    where = f"$['a'][1][{key!r}]"
+    with pytest.raises(PromptDensityError, match=re.escape(f"the text at {where} holds")):
+        read_json(str(path))
+
+
+def test_surrogate_pair_loads(tmp_path, capsys):
+    item = {"id": "q1", "benchmark": "x", "answer_format": "integer", "ground_truth": "4",
+            "variants": {"standard": "Solve 2+2. \U0001F600"}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"items": [item]}))
+    assert "\\ud83d\\ude00" in path.read_text()
+    assert read_json(str(path))["items"][0]["variants"]["standard"] == "Solve 2+2. \U0001F600"
+    assert run_cli(capsys, "validate", str(path)) == (0, "OK: 1 item(s)\n", "")
+
+
 def test_item_ids_repeat_across_benchmarks_but_not_within_one(tmp_path, capsys):
     # Records key an item by (benchmark, id), so a manifest merged from two
     # benchmarks that both number their items from q1 must validate and run.
@@ -370,6 +417,8 @@ def test_run_zero_runs_domain_error(small_manifest, capsys):
                  id="min-len-fraction"),
     pytest.param({"redundancy_min_len": -3}, "'redundancy_min_len' must be an integer >= 0",
                  id="min-len-negative"),
+    # A misspelled key left every class on the default bands, with exit 0.
+    pytest.param({"dense_form": 0.9}, "cfg.json: unknown key 'dense_form'", id="unknown-key"),
 ])
 def test_malformed_config_domain_error(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
@@ -462,16 +511,18 @@ def test_directory_path_domain_error(tmp_path, capsys, argv):
     assert out == "" and err.count("\n") == 1 and "Is a directory" in err
 
 
-@pytest.mark.parametrize("path", [
-    pytest.param("lex\u0000icon.txt", id="nul"),
-    pytest.param("lex\ud800icon.txt", id="lone-surrogate"),
+@pytest.mark.parametrize("path, message", [
+    pytest.param("lex\u0000icon.txt", "'lexicon' must be a path string", id="nul"),
+    # Refused on reading, as every string UTF-8 cannot encode is.
+    pytest.param("lex\ud800icon.txt", "the text at $['lexicon'] holds a lone surrogate",
+                 id="lone-surrogate"),
 ])
-def test_config_path_not_a_file_name_domain_error(tmp_path, capsys, path):
+def test_config_path_not_a_file_name_domain_error(tmp_path, capsys, path, message):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"lexicon": path}))
     code, out, err = run_cli(capsys, "score", "--text", "x", "--config", str(config))
     assert code == 1
-    assert out == "" and err.count("\n") == 1 and "'lexicon' must be a path string" in err
+    assert out == "" and err.count("\n") == 1 and message in err
 
 
 _RECORD = {
@@ -696,20 +747,26 @@ def workdir(tmp_path_factory):
     return path
 
 
-def _exits_cleanly(workdir, argv: list[str]) -> None:
-    err = io.StringIO()
+def _main_in(workdir, argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)`` run in ``workdir``: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return main(argv), out.getvalue(), err.getvalue()
+    finally:
+        os.chdir(cwd)
+
+
+def _exits_cleanly(workdir, argv: list[str]) -> None:
+    try:
+        code, _, err = _main_in(workdir, argv)
     except SystemExit as exc:
         assert exc.code == 2
         return
-    finally:
-        os.chdir(cwd)
     assert code in (0, 1)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
 
 
 def _write_json(workdir, name: str, document) -> str:
@@ -752,6 +809,60 @@ def test_any_results_file_exits_cleanly(workdir, results):
 def test_any_prompt_bytes_exit_cleanly(workdir, prompt):
     (workdir / "prompt.txt").write_bytes(prompt)
     _exits_cleanly(workdir, ["score", "prompt.txt"])
+
+
+def _strings_replaced(value, replace):
+    """``value`` with each string, key or value, passed through ``replace``
+    in document order."""
+    if isinstance(value, str):
+        return replace(value)
+    if isinstance(value, dict):
+        return {_strings_replaced(k, replace): _strings_replaced(v, replace)
+                for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strings_replaced(v, replace) for v in value]
+    return value
+
+
+@st.composite
+def _with_lone_surrogate(draw, document):
+    """``document`` with one lone surrogate put into one of its strings."""
+    strings = []
+    _strings_replaced(document, strings.append)
+    chosen = draw(st.integers(0, len(strings) - 1))
+    surrogate = chr(draw(st.integers(0xD800, 0xDFFF)))
+    order = iter(range(len(strings)))
+
+    def put(text):
+        if next(order) != chosen:
+            return text
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + surrogate + text[at:]
+
+    return _strings_replaced(document, put)
+
+
+_SMALL_MANIFEST = manifest_to_json(make_synthetic_manifest(1, 2))
+_SMALL_RESULTS = [
+    {"model": "m1", "benchmark": "b1", "item_id": "q1", "condition": condition, "run": 0,
+     "correct": True, "response": "The answer is 4.", "latency_ms": 200.0, "output_tokens": 5,
+     "sde": 0.5, "timestamp": "2026-01-01T00:00:00+00:00", "error": None}
+    for condition in ("ultra_dense", "diluted")
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(manifest=_with_lone_surrogate(_SMALL_MANIFEST),
+       results=_with_lone_surrogate(_SMALL_RESULTS))
+def test_a_lone_surrogate_anywhere_is_one_line(workdir, manifest, results):
+    # json.dumps escapes the surrogate, as \\ud800, which json.load gives back.
+    manifest_path = _write_json(workdir, "manifest.json", manifest)
+    results_path = _write_json(workdir, "results.json", results)
+    for argv in (["validate", manifest_path], ["run", "--manifest", manifest_path, "--runs", "1"],
+                 ["analyze", results_path]):
+        code, out, err = _main_in(workdir, argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "holds a lone surrogate" in err
 
 
 @pytest.mark.parametrize("endpoint", [5, None, "not a url", "ftp://example.com/v1", "https://",

@@ -261,29 +261,65 @@ def test_backends_run_concurrently():
     assert [r.error for r in records if r.error] == []
 
 
+def _echo_transport(url, headers, payload):
+    """A deterministic reply of the model to the prompt."""
+    words = len((payload["model"] + _prompt(payload)).split())
+    return 200, {"text": f"The answer is {words % 4}.", "usage": {"completion_tokens": words}}
+
+
 def test_concurrent_run_equals_single_backend_runs(tmp_path):
+    # Two HTTP backends on worker threads, and a mock on the calling thread.
+    def backends():
+        return [HttpChatBackend(http_descriptor(model_id=f"remote-{n}"), transport=_echo_transport)
+                for n in range(2)] + [build_backend(mock_descriptor(model="m"), seed=3)]
+
+    def mask(records):
+        """Sorted by key, with the fields that a clock sets blanked."""
+        return sorted((replace(r, timestamp="", latency_ms=r.latency_ms if r.model == "m" else 0.0)
+                       for r in records), key=lambda r: r.key)
+
+    def partial_lines(out):
+        lines = Path(f"{out}.partial").read_text(encoding="utf-8").splitlines()
+        return [TrialRecord.from_json(json.loads(line)) for line in lines]
+
     items = tiny_items(3)
-    descriptors = [mock_descriptor(model=f"m{n}", intercept=-1.0 - n) for n in range(3)]
     out = tmp_path / "all.json"
     # Frequent thread switches, so a lost or duplicated record would show.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        together = run_experiment(items, [build_backend(d, seed=3) for d in descriptors],
-                                  runs_per_item=2, out_path=str(out))
+        together = run_experiment(items, backends(), runs_per_item=2, out_path=str(out))
     finally:
         sys.setswitchinterval(interval)
-    apart = [
-        record
-        for d in descriptors
-        for record in run_experiment(items, [build_backend(d, seed=3)], runs_per_item=2)
-    ]
-    mask = lambda records: sorted((replace(r, timestamp="") for r in records), key=lambda r: r.key)
+    apart, apart_lines = [], []
+    for n, backend in enumerate(backends()):
+        alone = tmp_path / f"{n}.json"
+        apart += run_experiment(items, [backend], runs_per_item=2, out_path=str(alone))
+        apart_lines += partial_lines(alone)
+    assert len(apart) == 3 * 2 * sum(len(item.variants) for item in items)
     assert mask(together) == mask(apart)
     assert mask(load_results(str(out))) == mask(apart)
+    assert mask(partial_lines(out)) == mask(apart_lines) == mask(apart)
 
 
-def test_worker_threads_capped():
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of each thread pool built while the test runs."""
+    import concurrent.futures
+
+    sizes = []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    return sizes
+
+
+def test_mock_only_run_starts_no_thread(tmp_path, pool_sizes):
+    # A mock never waits, so a worker thread per mock only traded the GIL.
     threads = set()
 
     class RecordingBackend(MockBackend):
@@ -291,7 +327,22 @@ def test_worker_threads_capped():
             threads.add(threading.get_ident())
             return super().complete(*args)
 
-    backends = [RecordingBackend(mock_descriptor(model=f"m{n}"), seed=1)
+    backends = [RecordingBackend(mock_descriptor(model=f"m{n}"), seed=1) for n in range(3)]
+    records = run_experiment(tiny_items(2), backends, runs_per_item=2,
+                             out_path=str(tmp_path / "r.json"))
+    assert len(records) == 3 * 2 * sum(len(item.variants) for item in tiny_items(2))
+    assert threads == {threading.get_ident()}
+    assert pool_sizes == []
+
+
+def test_worker_threads_capped(pool_sizes):
+    threads = set()
+
+    def transport(url, headers, payload):
+        threads.add(threading.get_ident())
+        return _echo_transport(url, headers, payload)
+
+    backends = [HttpChatBackend(http_descriptor(model_id=f"remote-{n}"), transport=transport)
                 for n in range(MAX_WORKERS + 2)]
     progress_threads = []
     records = run_experiment(tiny_items(1), backends, runs_per_item=1,
@@ -300,6 +351,7 @@ def test_worker_threads_capped():
     assert 1 <= len(threads) <= MAX_WORKERS
     assert threading.get_ident() not in threads
     assert progress_threads == [threading.get_ident()] * len(records)
+    assert pool_sizes == [MAX_WORKERS]
 
 
 def test_backend_exception_reaches_caller():
